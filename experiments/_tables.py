@@ -1,7 +1,7 @@
 """Shared table-printing helper for the benchmark harness.
 
 Every benchmark prints the rows EXPERIMENTS.md documents, so a
-``pytest benchmarks/ --benchmark-only -s`` run regenerates the
+``pytest experiments/ --benchmark-only -s`` run regenerates the
 reproduction's tables alongside pytest-benchmark's wall-clock timings.
 """
 

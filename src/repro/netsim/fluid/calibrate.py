@@ -6,9 +6,8 @@ The harness replays the *same* schedule through both executors —
 events, sampled loss: the ground truth) and
 :class:`~repro.netsim.fluid.tier.FluidFlowExecutor` (one analytic event
 per flowlet) — and compares per-class mean delay and goodput.  The
-tier-1 suite asserts every error stays within
-:data:`DEFAULT_TOLERANCE`; the fluid benchmark records the same report
-in ``BENCH_fluid.json``.
+tier-1 suite (``tests/netsim/test_fluid_calibration.py``) asserts
+every error stays within :data:`DEFAULT_TOLERANCE`.
 """
 
 from __future__ import annotations

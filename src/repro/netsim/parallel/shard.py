@@ -24,11 +24,11 @@ must manage:
   them compares serial and sharded runs bit-for-bit.
 
 :class:`SerialScenarioDriver` runs the same handler programs on any
-*serial* event kernel — the current
-:class:`~repro.netsim.kernel.EventKernel` (the sharded kernel's
-fallback engine) or the frozen seed kernel the benchmarks compare
-against.  It implements the same runtime protocol, so handlers cannot
-tell the difference.
+*serial* event kernel — in practice
+:class:`~repro.netsim.kernel.EventKernel`, the sharded kernel's
+fallback engine and the ``kernel_soak`` workload of ``bench/``.  It
+implements the same runtime protocol, so handlers cannot tell the
+difference.
 """
 
 from __future__ import annotations
@@ -257,10 +257,9 @@ class SerialScenarioDriver(_HostStateMixin):
     """Run a parallel-API scenario on any serial event kernel.
 
     ``kernel`` needs only ``schedule_at(time, fn, *args)``, ``run()``
-    and a ``clock`` with ``now`` — which both the current
-    :class:`~repro.netsim.kernel.EventKernel` and the frozen seed
-    kernel in ``benchmarks/_seed_kernel.py`` provide.  The sharded
-    kernel's serial fallback is exactly this driver over the current
+    and a ``clock`` with ``now`` — which
+    :class:`~repro.netsim.kernel.EventKernel` provides.  The sharded
+    kernel's serial fallback is exactly this driver over an
     ``EventKernel``.
     """
 

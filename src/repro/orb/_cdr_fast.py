@@ -1,13 +1,12 @@
-"""Flat CDR ``any`` codec — the compiled hot path.
+"""Flat CDR ``any`` codec — the one implementation of the tagged encoding.
 
-The class-based codec in :mod:`repro.orb.cdr` dispatches every element
-of an ``any`` tree through bound methods and keeps its cursor in
-``self._offset``; for deep payload maps that is one attribute
-load/store plus one method call per element.  This module re-implements
-exactly the same wire format as module-level functions that keep the
-buffer, the offset and the precompiled :class:`struct.Struct` unpackers
-in locals, and inline the common leaf tags (string, int64, double,
-boolean, octets) straight into the map/sequence loops.
+:meth:`repro.orb.cdr.CDREncoder.write_any` and
+:meth:`repro.orb.cdr.CDRDecoder.read_any` delegate here.  The codec is
+module-level functions that keep the buffer, the offset and the
+precompiled :class:`struct.Struct` packers in locals, and inline the
+common leaf tags (string, int64, double, boolean, octets) straight
+into the map/sequence loops, so a deep payload map costs no attribute
+load/store or bound-method call per element.
 
 The functions are written in the restricted style ``mypyc`` compiles
 well (module-level, fully annotated, no closures); ``pip install
@@ -16,13 +15,13 @@ well (module-level, fully annotated, no closures); ``pip install
 fallback — the import site in :mod:`repro.orb.cdr` never requires the
 compiled form.
 
-Byte identity is a hard contract: every write here must produce the
-same bytes as the generic tag-per-element path, and every read must
-accept exactly what that path accepts and reject what it rejects (with
+Byte identity is a hard contract: a batched homogeneous run must
+produce the same bytes as the tag-per-element loop, and every read
+must reject malformed input with
 :class:`~repro.orb.exceptions.MARSHAL`, never a bare ``struct.error``
-or ``IndexError``).  The property suite in
-``tests/orb/test_cdr_fastpath.py`` and ``tests/orb/test_cdr_flat.py``
-enforces both directions.
+or ``IndexError``.  ``tests/orb/test_cdr_fastpath.py`` (batched vs
+unbatched, via ``cdr._BATCH_MIN``), ``tests/orb/test_cdr.py`` and
+``tests/orb/test_adversarial_wire.py`` enforce both directions.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ from typing import Any, Dict, List, Tuple
 from repro.orb.exceptions import MARSHAL
 from repro.perf.counters import COUNTERS
 
-# Type tags (mirrors repro.orb.cdr; duplicated so the compiled module
-# reads module-level ints instead of chasing another module's globals).
+# Type tags for the `any` encoding, defined here once (module-level so
+# the compiled module reads its own ints) and re-exported by
+# repro.orb.cdr.
 TAG_NULL = 0
 TAG_BOOLEAN = 1
 TAG_OCTET = 2
@@ -79,10 +79,8 @@ _DBL_FUSE = tuple(
     bytes((TAG_DOUBLE,)) + b"\x00" * (-(r + 1) & 7) for r in range(8)
 )
 
-#: Batch chunk size — bounds the repeated-format cache, and must match
-#: :data:`repro.orb.cdr._BATCH_CHUNK` so both paths emit/consume the
-#: same chunking (the bytes are identical either way; the cache keys
-#: are what stay bounded).
+#: Batch chunk size — bounds the repeated-format cache (the bytes are
+#: identical at any chunking; the cache keys are what stay bounded).
 _BATCH_CHUNK = 512
 
 _S_SHORT = struct.Struct(">h")
@@ -325,7 +323,7 @@ def read_any(buf: Any, offset: int, size: int, batch_min: int) -> Tuple[Any, int
     ``buf`` is the bytes-like the caller scans (``bytes`` or
     ``memoryview``); returns ``(value, new_offset)``.  All malformed
     input — truncation, unknown tags, invalid UTF-8 — raises
-    :class:`MARSHAL` exactly like the class-based decoder.
+    :class:`MARSHAL`.
     """
     if offset >= size:
         raise MARSHAL(

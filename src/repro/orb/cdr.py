@@ -19,31 +19,40 @@ benchmark, so the implementation is tuned):
 - the decoder reads through a ``memoryview``, so nested decodes
   (strings, octet payloads handed to sub-decoders) never copy the
   underlying buffer more than the API forces them to;
-- homogeneous sequences of floats/ints batch through one repeated
-  ``struct`` format instead of n tagged writes.  The batched bytes are
-  **identical** to the tag-per-element encoding (each element keeps
-  its tag octet and alignment padding), so the fast path is invisible
-  on the wire; any non-conforming element falls back to the generic
-  loop.
+- the tagged ``any`` encoding lives in one place, the flat codec in
+  :mod:`repro.orb._cdr_fast` (optionally mypyc-compiled):
+  :meth:`CDREncoder.write_any` / :meth:`CDRDecoder.read_any` delegate
+  to it unconditionally.  Homogeneous sequences of floats/ints batch
+  through one repeated ``struct`` format instead of n tagged writes;
+  the batched bytes are **identical** to the tag-per-element encoding
+  (each element keeps its tag octet and alignment padding), so
+  batching is invisible on the wire.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-from functools import lru_cache
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Tuple
 
 from repro.orb import _cdr_fast
+from repro.orb._cdr_fast import (  # noqa: F401  (re-exported: the `any` type tags)
+    TAG_BIGNUM,
+    TAG_BOOLEAN,
+    TAG_DOUBLE,
+    TAG_FLOAT,
+    TAG_LONG,
+    TAG_LONGLONG,
+    TAG_MAP,
+    TAG_NULL,
+    TAG_OCTET,
+    TAG_OCTETS,
+    TAG_SEQUENCE,
+    TAG_SHORT,
+    TAG_STRING,
+    TAG_ULONG,
+    TAG_USHORT,
+)
 from repro.orb.exceptions import MARSHAL
-from repro.perf.counters import COUNTERS
-
-#: Whether ``write_any``/``read_any`` route through the flat codec in
-#: :mod:`repro.orb._cdr_fast` (optionally mypyc-compiled) instead of
-#: the method-per-element implementation below.  Both emit and accept
-#: identical bytes; the flag exists for the benchmark's
-#: compiled-vs-interpreted comparison and as a debugging escape hatch.
-_USE_FAST = os.environ.get("REPRO_CDR_FAST", "1") != "0"
 
 #: "compiled" when the flat codec was built with mypyc, else "python".
 FAST_IMPL = (
@@ -51,34 +60,6 @@ FAST_IMPL = (
     if getattr(_cdr_fast, "__file__", "").endswith((".so", ".pyd"))
     else "python"
 )
-
-
-def use_fast_path(enabled: bool) -> bool:
-    """Toggle the flat ``any`` codec at runtime; returns the old value."""
-    global _USE_FAST
-    previous = _USE_FAST
-    _USE_FAST = bool(enabled)
-    return previous
-
-# Type tags for the `any` encoding.
-TAG_NULL = 0
-TAG_BOOLEAN = 1
-TAG_OCTET = 2
-TAG_SHORT = 3
-TAG_USHORT = 4
-TAG_LONG = 5
-TAG_ULONG = 6
-TAG_LONGLONG = 7
-TAG_DOUBLE = 8
-TAG_STRING = 9
-TAG_OCTETS = 10
-TAG_SEQUENCE = 11
-TAG_MAP = 12
-TAG_FLOAT = 13
-TAG_BIGNUM = 14
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 # Precompiled primitive formats: struct.Struct skips the per-call
 # format-string parse and cache lookup that struct.pack pays.
@@ -97,21 +78,6 @@ _PADDING = tuple(b"\x00" * n for n in range(8))
 #: Minimum sequence length for the homogeneous batch fast path; below
 #: this the type scan costs more than it saves.
 _BATCH_MIN = 4
-
-#: Batch chunk size — bounds the repeated-format cache (see below).
-_BATCH_CHUNK = 512
-
-
-@lru_cache(maxsize=None)
-def _batch_struct(unit: str, count: int) -> struct.Struct:
-    """A Struct for ``count`` repetitions of one tagged-element group.
-
-    ``unit`` is e.g. ``"B7xd"``: tag octet, 7 pad bytes, the value —
-    exactly the bytes the generic path emits for each element of an
-    8-aligned homogeneous run.  The key space is bounded because
-    callers chunk at :data:`_BATCH_CHUNK` repetitions.
-    """
-    return struct.Struct(">" + unit * count)
 
 
 class CDREncoder:
@@ -132,12 +98,6 @@ class CDREncoder:
         """
         del self._buf[:]
         return self
-
-    def _align(self, boundary: int) -> None:
-        buf = self._buf
-        padding = -len(buf) % boundary
-        if padding:
-            buf += _PADDING[padding]
 
     def write_raw(self, data: bytes) -> None:
         """Append pre-encoded bytes verbatim (no alignment).
@@ -267,154 +227,10 @@ class CDREncoder:
         long long, ``float`` → double.  Lists/tuples become sequences,
         dicts (string-keyed) become maps.
         """
-        if _USE_FAST:
+        try:
             _cdr_fast.write_any(self._buf, value, _BATCH_MIN)
-            return
-        writer = _ANY_WRITERS.get(type(value))
-        if writer is not None:
-            writer(self, value)
-        else:
-            self._write_any_slow(value)
-
-    # Exact-type handlers (dispatched from _ANY_WRITERS).  Subclasses of
-    # the native types miss the table and take _write_any_slow, which
-    # replays the original isinstance chain.
-
-    def _write_any_none(self, value: None) -> None:
-        self._buf.append(TAG_NULL)
-
-    def _write_any_bool(self, value: bool) -> None:
-        self._buf += b"\x01\x01" if value else b"\x01\x00"
-
-    def _write_any_int(self, value: int) -> None:
-        if _INT64_MIN <= value <= _INT64_MAX:
-            self._buf.append(TAG_LONGLONG)
-            self.write_longlong(value)
-        else:
-            self._write_any_bignum(value)
-
-    def _write_any_bignum(self, value: int) -> None:
-        # Arbitrary-precision integers (e.g. Diffie-Hellman public
-        # values) travel as sign + magnitude octets.
-        self._buf.append(TAG_BIGNUM)
-        self.write_boolean(value < 0)
-        magnitude = abs(value)
-        self.write_octets(
-            magnitude.to_bytes((magnitude.bit_length() + 7) // 8, "big")
-        )
-
-    def _write_any_float(self, value: float) -> None:
-        self._buf.append(TAG_DOUBLE)
-        self.write_double(value)
-
-    def _write_any_str(self, value: str) -> None:
-        self._buf.append(TAG_STRING)
-        data = value.encode("utf-8")
-        buf = self._buf
-        padding = -len(buf) % 4
-        if padding:
-            buf += _PADDING[padding]
-        buf += _S_ULONG.pack(len(data))
-        buf += data
-
-    def _write_any_octets(self, value: bytes) -> None:
-        self._buf.append(TAG_OCTETS)
-        self.write_octets(value)
-
-    def _write_any_sequence(self, value: Any) -> None:
-        buf = self._buf
-        buf.append(TAG_SEQUENCE)
-        padding = -len(buf) % 4
-        if padding:
-            buf += _PADDING[padding]
-        length = len(value)
-        buf += _S_ULONG.pack(length)
-        if length >= _BATCH_MIN:
-            first_type = type(value[0])
-            if first_type is float:
-                for item in value:
-                    if type(item) is not float:
-                        break
-                else:
-                    self._write_batch(value, _S_DOUBLE, "B7xd", TAG_DOUBLE)
-                    return
-            elif first_type is int:
-                for item in value:
-                    if type(item) is not int or not (
-                        _INT64_MIN <= item <= _INT64_MAX
-                    ):
-                        break
-                else:
-                    self._write_batch(value, _S_LONGLONG, "B7xq", TAG_LONGLONG)
-                    return
-        for item in value:
-            self.write_any(item)
-
-    def _write_batch(
-        self, value: Any, first_struct: struct.Struct, unit: str, tag: int
-    ) -> None:
-        """Emit a homogeneous 8-byte-element run, byte-identical to the
-        generic loop: the first element settles 8-alignment, the rest
-        are fixed 16-byte (tag + 7 pad + value) groups packed in bulk.
-        """
-        buf = self._buf
-        buf.append(tag)
-        padding = -len(buf) % 8
-        if padding:
-            buf += _PADDING[padding]
-        buf += first_struct.pack(value[0])
-        index = 1
-        length = len(value)
-        while index < length:
-            count = min(length - index, _BATCH_CHUNK)
-            args: List[Any] = []
-            for item in value[index : index + count]:
-                args.append(tag)
-                args.append(item)
-            buf += _batch_struct(unit, count).pack(*args)
-            index += count
-        COUNTERS.cdr_batch_encodes += 1
-
-    def _write_any_map(self, value: Dict[str, Any]) -> None:
-        buf = self._buf
-        buf.append(TAG_MAP)
-        padding = -len(buf) % 4
-        if padding:
-            buf += _PADDING[padding]
-        buf += _S_ULONG.pack(len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise MARSHAL(f"map keys must be str, got {type(key).__name__}")
-            # write_string inlined: map keys are the hottest strings on
-            # the wire (every payload dict, every service context).
-            data = key.encode("utf-8")
-            padding = -len(buf) % 4
-            if padding:
-                buf += _PADDING[padding]
-            buf += _S_ULONG.pack(len(data))
-            buf += data
-            self.write_any(item)
-
-    def _write_any_slow(self, value: Any) -> None:
-        """The original isinstance chain, for subclasses of the natives."""
-        if value is None:
-            self._buf.append(TAG_NULL)
-        elif isinstance(value, bool):
-            self._write_any_bool(value)
-        elif isinstance(value, int):
-            self._write_any_int(value)
-        elif isinstance(value, float):
-            self._write_any_float(value)
-        elif isinstance(value, str):
-            self._write_any_str(value)
-        elif isinstance(value, (bytes, bytearray)):
-            self._write_any_octets(value)
-        elif isinstance(value, (list, tuple)):
-            self._write_any_sequence(value)
-        elif isinstance(value, dict):
-            self._write_any_map(value)
-        else:
-            raise MARSHAL(f"cannot marshal value of type {type(value).__name__}")
+        except RecursionError:
+            raise MARSHAL("any value is nested too deeply to marshal") from None
 
     def getvalue(self) -> bytes:
         """The encoded buffer."""
@@ -422,22 +238,6 @@ class CDREncoder:
 
     def __len__(self) -> int:
         return len(self._buf)
-
-
-#: Exact-type dispatch for write_any (bool before int matters only in
-#: the slow path — dict dispatch on type() cannot confuse the two).
-_ANY_WRITERS: Dict[type, Callable[["CDREncoder", Any], None]] = {
-    type(None): CDREncoder._write_any_none,
-    bool: CDREncoder._write_any_bool,
-    int: CDREncoder._write_any_int,
-    float: CDREncoder._write_any_float,
-    str: CDREncoder._write_any_str,
-    bytes: CDREncoder._write_any_octets,
-    bytearray: CDREncoder._write_any_octets,
-    list: CDREncoder._write_any_sequence,
-    tuple: CDREncoder._write_any_sequence,
-    dict: CDREncoder._write_any_map,
-}
 
 
 class CDRDecoder:
@@ -457,9 +257,6 @@ class CDRDecoder:
         self._offset = 0
 
     # -- low-level ------------------------------------------------------
-
-    def _align(self, boundary: int) -> None:
-        self._offset += -self._offset % boundary
 
     def _underrun(self, size: int, offset: int) -> MARSHAL:
         return MARSHAL(
@@ -572,102 +369,13 @@ class CDRDecoder:
     # -- any --------------------------------------------------------------
 
     def read_any(self) -> Any:
-        if _USE_FAST:
+        try:
             value, self._offset = _cdr_fast.read_any(
                 self._mv, self._offset, self._len, _BATCH_MIN
             )
-            return value
-        offset = self._offset
-        if offset >= self._len:
-            raise self._underrun(1, offset)
-        self._offset = offset + 1
-        tag = self._mv[offset]
-        reader = _ANY_READERS.get(tag)
-        if reader is None:
-            raise MARSHAL(f"unknown any tag: {tag}")
-        return reader(self)
-
-    def _read_any_null(self) -> None:
-        return None
-
-    def _read_any_bignum(self) -> int:
-        negative = self.read_boolean()
-        magnitude = int.from_bytes(self.read_octets(), "big")
-        return -magnitude if negative else magnitude
-
-    def _read_any_sequence(self) -> List[Any]:
-        length = self.read_ulong()
-        if length >= _BATCH_MIN and self._offset < self._len:
-            first_tag = self._mv[self._offset]
-            if first_tag == TAG_DOUBLE:
-                result = self._read_batch(length, _S_DOUBLE, "B7xd", TAG_DOUBLE)
-                if result is not None:
-                    return result
-            elif first_tag == TAG_LONGLONG:
-                result = self._read_batch(length, _S_LONGLONG, "B7xq", TAG_LONGLONG)
-                if result is not None:
-                    return result
-        return [self.read_any() for _ in range(length)]
-
-    def _read_batch(
-        self, length: int, first_struct: struct.Struct, unit: str, tag: int
-    ) -> Any:
-        """Bulk-decode a homogeneous run; None means fall back (the run
-        turned out to be heterogeneous and the offset is rewound)."""
-        start = self._offset
-        self._offset = start + 1  # consume the peeked tag octet
-        first = self._unpack(first_struct, 8)
-        out = [first]
-        offset = self._offset
-        remaining = length - 1
-        mv = self._mv
-        while remaining:
-            count = min(remaining, _BATCH_CHUNK)
-            compiled = _batch_struct(unit, count)
-            if offset + compiled.size > self._len:
-                self._offset = start
-                return None  # underrun or trailing mixed types: re-scan
-            flat = compiled.unpack_from(mv, offset)
-            if flat[0::2].count(tag) != count:
-                self._offset = start
-                return None  # mixed element types: generic loop decodes
-            out.extend(flat[1::2])
-            offset += compiled.size
-            remaining -= count
-        self._offset = offset
-        COUNTERS.cdr_batch_decodes += 1
-        return out
-
-    def _read_any_map(self) -> Dict[str, Any]:
-        length = self.read_ulong()
-        mv = self._mv
-        size = self._len
-        result: Dict[str, Any] = {}
-        for _ in range(length):
-            # read_string inlined: map keys are the hottest strings on
-            # the wire (every payload dict, every service context).
-            offset = self._offset
-            offset += -offset & 3
-            end = offset + 4
-            if end > size:
-                self._offset = offset
-                raise self._underrun(4, offset)
-            key_length = _S_ULONG.unpack_from(mv, offset)[0]
-            offset = end
-            end = offset + key_length
-            if end > size:
-                self._offset = offset
-                raise MARSHAL(f"string of length {key_length} overruns buffer")
-            try:
-                key = str(mv[offset:end], "utf-8")
-            except UnicodeDecodeError as error:
-                self._offset = offset
-                raise MARSHAL(
-                    f"invalid UTF-8 string on the wire: {error}"
-                ) from None
-            self._offset = end
-            result[key] = self.read_any()
-        return result
+        except RecursionError:
+            raise MARSHAL("any value on the wire is nested too deeply") from None
+        return value
 
     @property
     def remaining(self) -> int:
@@ -676,26 +384,6 @@ class CDRDecoder:
 
     def at_end(self) -> bool:
         return self._offset >= self._len
-
-
-#: Tag dispatch for read_any.
-_ANY_READERS: Dict[int, Callable[["CDRDecoder"], Any]] = {
-    TAG_NULL: CDRDecoder._read_any_null,
-    TAG_BOOLEAN: CDRDecoder.read_boolean,
-    TAG_OCTET: CDRDecoder.read_octet,
-    TAG_SHORT: CDRDecoder.read_short,
-    TAG_USHORT: CDRDecoder.read_ushort,
-    TAG_LONG: CDRDecoder.read_long,
-    TAG_ULONG: CDRDecoder.read_ulong,
-    TAG_LONGLONG: CDRDecoder.read_longlong,
-    TAG_FLOAT: CDRDecoder.read_float,
-    TAG_DOUBLE: CDRDecoder.read_double,
-    TAG_STRING: CDRDecoder.read_string,
-    TAG_OCTETS: CDRDecoder.read_octets,
-    TAG_BIGNUM: CDRDecoder._read_any_bignum,
-    TAG_SEQUENCE: CDRDecoder._read_any_sequence,
-    TAG_MAP: CDRDecoder._read_any_map,
-}
 
 
 def encode_values(*values: Any) -> bytes:

@@ -66,10 +66,6 @@ _REQUEST_PREFIX = _HEADER_WIRE[MSG_REQUEST] + b"\x00"
 _REPLY_PREFIX = _HEADER_WIRE[MSG_REPLY] + b"\x00"
 
 
-def _write_header(encoder: CDREncoder, message_type: int) -> None:
-    encoder.write_raw(_HEADER_WIRE[message_type])
-
-
 def _read_header(decoder: CDRDecoder) -> int:
     header = decoder.read_raw(_HEADER_SIZE)
     if header[:4] != MAGIC:

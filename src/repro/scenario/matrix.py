@@ -4,8 +4,8 @@
 and collects one judged :class:`~repro.scenario.runner.ScenarioResult`
 per cell.  :meth:`ScenarioMatrix.assert_slos` turns the collected
 violations into one actionable failure — this is what the tier-1 test
-suite and the CI quick job gate on; the full matrix runs behind
-``--full`` in ``benchmarks/run_scenario_bench.py``.
+suite gates on; the full matrix is the ``scenario_matrix`` workload of
+``bench/run.py``, every cell digest pinned in ``bench/expected.json``.
 """
 
 from __future__ import annotations

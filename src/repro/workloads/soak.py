@@ -6,8 +6,7 @@ The scenario is written against the parallel kernel's handler API
 
 - the sharded kernel, inline or process backend;
 - the serial fallback; and
-- *any* serial event kernel — including the frozen seed kernel the
-  benchmarks compare against — through :class:`SerialScenarioDriver`.
+- *any* serial event kernel through :class:`SerialScenarioDriver`.
 
 Shape: ``clusters`` islands of ``hosts_per_cluster`` hosts, densely
 meshed inside (low latency) and joined by a sparse ring of
@@ -182,5 +181,4 @@ def ack(ctx: ShardContext, payload: Any) -> None:
 
 # :class:`SerialScenarioDriver` (re-exported above) lives with the
 # shard runtime in :mod:`repro.netsim.parallel.shard`; it is what runs
-# this scenario on a plain serial kernel, including the frozen seed
-# kernel the benchmarks compare against.
+# this scenario on a plain serial kernel.

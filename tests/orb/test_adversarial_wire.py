@@ -3,7 +3,7 @@
 import pytest
 
 from repro.orb import World, giop
-from repro.orb.cdr import CDRDecoder
+from repro.orb.cdr import TAG_SEQUENCE, CDRDecoder, decode_values, encode_values
 from repro.orb.exceptions import MARSHAL
 from repro.orb.modules.base import decode_envelope, encode_envelope
 from repro.orb.servant import Servant
@@ -110,3 +110,22 @@ class TestMalformedGIOP:
         encoder.write_octet(99)  # bogus status
         with pytest.raises(MARSHAL):
             giop.decode_reply(encoder.getvalue())
+
+
+class TestDeepNesting:
+    """Nesting past the interpreter's stack is a MARSHAL, not a bare
+    RecursionError that would escape a server handler untyped."""
+
+    def test_encoding_a_deeply_nested_value(self):
+        value = []
+        for _ in range(5000):
+            value = [value]
+        with pytest.raises(MARSHAL, match="nested too deeply"):
+            encode_values(value)
+
+    def test_decoding_deeply_nested_sequence_headers(self):
+        # count=1, then 20 000 x (TAG_SEQUENCE, 3 pad, length=1): ~160 KB.
+        header = bytes((TAG_SEQUENCE, 0, 0, 0, 0, 0, 0, 1))
+        frame = b"\x00\x00\x00\x01" + header * 20_000
+        with pytest.raises(MARSHAL, match="nested too deeply"):
+            decode_values(frame)

@@ -3,7 +3,7 @@
 This is the archetype deliverable: the scenario matrix itself runs as
 a test.  The quick subset (4 scenarios x 2 stacks) executes in every
 CI run and asserts each cell's SLOs; the full fleet x stack product
-runs behind ``--full`` in ``benchmarks/run_scenario_bench.py``.
+is the ``scenario_matrix`` workload of ``bench/run.py``.
 """
 
 import pytest
