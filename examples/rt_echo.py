@@ -7,8 +7,9 @@ socket between a server process and this one:
 
 1. spawn a server child (``python -m repro.rt.harness serve ...``)
    hosting an echo servant on an ephemeral port;
-2. dial it with an :class:`~repro.rt.client.RtClient` and invoke
-   operations exactly as netsim clients do;
+2. open an :class:`~repro.rt.client.RtClient` — an ordinary client
+   ORB whose transport is a socket — bind a stub to ``client.orb`` and
+   call it exactly as a netsim client would;
 3. run a client child too, so the bytes really cross processes both
    ways;
 4. print what travelled.
@@ -22,9 +23,9 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from repro.orb.ior import IIOPProfile, IOR  # noqa: E402
-from repro.orb.request import Request  # noqa: E402
 from repro.rt.client import RtClient  # noqa: E402
 from repro.rt.harness import run_client, spawn_server  # noqa: E402
+from repro.rt.scenarios import EchoStub  # noqa: E402
 
 ECHO_IOR = IOR("IDL:test/Echo:1.0", IIOPProfile("server", 683, "echo"), [])
 
@@ -36,14 +37,16 @@ def main() -> int:
         print(f"server listening on {host}:{port}")
 
         # In-process client: the IOR names the *logical* host; only the
-        # address map knows where the socket actually lives.
+        # transport's address map knows where the socket actually lives.
         with RtClient({"server": (host, port)}) as client:
-            print("echo('hello wire')  ->", client.invoke(Request(ECHO_IOR, "echo", ("hello wire",))))
-            print("whoami()           ->", client.invoke(Request(ECHO_IOR, "whoami", ())))
-            print("add(20, 22)        ->", client.invoke(Request(ECHO_IOR, "add", (20, 22))))
-            window = [Request(ECHO_IOR, "echo", (f"pipelined-{i}",)) for i in range(4)]
-            replies = client.invoke_window(window)
-            print("pipelined window   ->", [r.value() for r in replies])
+            echo = EchoStub(client.orb, ECHO_IOR)
+            print("echo('hello wire')  ->", echo.echo("hello wire"))
+            print("whoami()           ->", echo.whoami())
+            print("add(20, 22)        ->", echo.add(20, 22))
+            # Deferred calls share one AMI window: written back-to-back
+            # on the socket, then drained.
+            futures = [echo.send_deferred("echo", f"pipelined-{i}") for i in range(4)]
+            print("pipelined window   ->", [f.result() for f in futures])
 
         # And a second OS process as the client, via the harness.
         result = run_client(

@@ -12,10 +12,10 @@ This module adds that layer on the client side:
 - :class:`PipelinedChannel` — one client-side pipeline per
   (module, destination) binding.  Deferred requests are encoded
   immediately (recycling :class:`~repro.orb.pool.WirePools` buffers)
-  and queued; ``flush()`` puts the whole window on the wire
-  back-to-back, so N requests pay the client's serialized marshal
-  work plus ~one RTT plus the server's serialized service time —
-  instead of the synchronous path's N full round trips.
+  and queued; ``flush()`` hands the whole window to the transport
+  (``round_trip_many``), so N requests pay the client's serialized
+  marshal work plus ~one RTT plus the server's serialized service
+  time — instead of the synchronous path's N full round trips.
 - :class:`AMIEngine` — the per-ORB owner of the channels, the
   in-flight accounting and the auto-flush window.
 
@@ -28,10 +28,10 @@ through the correlation map — the map is load-bearing, not cosmetic.
 Wire bytes are identical to the synchronous path per message: each
 request is GIOP-encoded individually and transformed through the
 module's ``wrap_burst`` (byte-identical to per-message ``wrap`` by the
-module contract).  Faults mid-window (``PacketLost``, ``HostCrashed``)
-fail only the affected futures, with the same CORBA exception types
-and minors the synchronous path raises; every queued future is
-resolved by its flush — no future ever hangs.
+module contract).  Faults mid-window fail the futures the transport
+reports failed (on netsim only the legs hit; on one socket the whole
+window), with the same CORBA exception types and minors the synchronous
+path raises; every queued future is resolved by its flush — none hangs.
 """
 
 from __future__ import annotations
@@ -130,11 +130,20 @@ class ReplyFuture:
         synchronous ``invoke`` — same bytes, same simulated timing,
         same exceptions.
         """
+        return self.reply().value()
+
+    def reply(self) -> giop.Reply:
+        """Like :meth:`result` but returning the decoded reply whole.
+
+        An exception the server sent stays inside it (with the reply's
+        service contexts); only a failure that left no reply to return
+        — transport, or a locally settled error — is raised.
+        """
         self.flush()
         self._orb.time_source.wait_until(self._ready_time)
-        if self._error is not None:
+        if self._reply is None:
             raise self._error
-        return self._reply.value()
+        return self._reply
 
     def exception(self) -> Optional[Exception]:
         """Like :meth:`result` but returning the exception (or None)."""
@@ -268,7 +277,6 @@ class PipelinedChannel:
             return 0
         orb = self.orb
         module = self.module
-        transport = orb.transport
         marshal_cost = orb.marshal_cost
         cursor = orb.time_source.now()
         wrapped: Optional[List[Tuple[Dict[str, Any], bytes, float]]] = None
@@ -278,7 +286,7 @@ class PipelinedChannel:
             )
         #: request_id -> future: the reply correlation map.
         pending: Dict[int, ReplyFuture] = {}
-        arrivals: List[Tuple[float, int, bytes]] = []
+        legs: List[Tuple[bytes, float, Optional[Dict[int, float]]]] = []
         for index, item in enumerate(items):
             cursor += marshal_cost(len(item.body))
             if wrapped is not None:
@@ -288,35 +296,23 @@ class PipelinedChannel:
             else:
                 wire = item.body
             pending[item.future.request_id] = item.future
-            # The transport seam marks forward-leg failures unexecuted
-            # (the request never reached a live servant) so reliability
-            # replay knows a re-issue cannot duplicate an execution;
-            # reply-leg failures stay ambiguous and unmarked.
-            try:
-                delay = transport.send_leg(
-                    self.dest_host, len(wire), item.reservations
-                )
-            except SystemException as error:
-                self._fail(item.future, error, cursor)
-                continue
-            try:
-                server = transport.peer(self.dest_host)
-            except SystemException as error:
-                self._fail(item.future, error, cursor + delay)
-                continue
-            try:
-                reply_wire, finish = server.handle_incoming(wire, cursor + delay)
-            except SystemException as error:
-                self._fail(item.future, error, cursor + delay)
-                continue
-            try:
-                back = transport.send_leg(
-                    self.dest_host, len(reply_wire), item.reservations, forward=False
-                )
-            except SystemException as error:
-                self._fail(item.future, error, finish)
-                continue
-            arrivals.append((finish + back, index, reply_wire))
+            legs.append((wire, cursor, item.reservations))
+        # How a window crosses the wire is the transport's business
+        # (:meth:`Transport.round_trip_many`): simulated links leg by
+        # leg, or one socket write and N reads.  Either way it marks
+        # forward-leg failures unexecuted (the request never reached a
+        # live servant) so reliability replay knows a re-issue cannot
+        # duplicate an execution; reply-leg failures stay ambiguous
+        # and unmarked.  A failed leg is resolved as soon as the
+        # transport reports it.
+        arrivals: List[Tuple[float, int, bytes]] = []
+        for index, (reply_wire, error, instant) in enumerate(
+            orb.transport.round_trip_many(self.dest_host, legs)
+        ):
+            if error is not None:
+                self._fail(items[index].future, error, instant)
+            else:
+                arrivals.append((instant, index, reply_wire))
         # The caller resumes once its send-side work is done; replies
         # complete in their own (possibly reordered) simulated time.
         orb.time_source.wait_until(cursor)

@@ -19,7 +19,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.orb import giop, invocation
 from repro.orb.ami import AMIEngine, ReplyFuture
 from repro.orb.dii import PseudoObject
-from repro.orb.exceptions import MARSHAL, SystemException, TRANSIENT
+from repro.orb.exceptions import COMM_FAILURE, MARSHAL, SystemException, TRANSIENT
 from repro.orb.ior import IOR
 from repro.orb.modules.base import decode_envelope, encode_envelope, is_envelope
 from repro.orb.poa import POA
@@ -108,7 +108,7 @@ class ORB:
         return source
 
     def use_time_source(self, clock) -> None:
-        """Install a different Clock implementation (the rt server does)."""
+        """Install a different Clock implementation (rt server and client do)."""
         self._time_source = clock
 
     def install_transport(self, transport) -> None:
@@ -242,9 +242,12 @@ class ORB:
         The message is delivered and processed on the server in its own
         time; the caller is never blocked and never learns the outcome.
         Transport failures are swallowed (CORBA oneway is best-effort)
-        but counted.
+        but counted — here, so every transport behaves the same.
         """
-        self.transport.one_way(dest_host, wire, depart_time)
+        try:
+            self.transport.one_way(dest_host, wire, depart_time)
+        except (COMM_FAILURE, TRANSIENT):
+            self.oneway_failures += 1
 
     # -- server side ----------------------------------------------------------
 

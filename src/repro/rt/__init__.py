@@ -13,19 +13,22 @@ separation claim has never been tested against:
 - :mod:`repro.rt.framing` — length-prefixed frames for GIOP messages
   on a byte stream (GIOP headers carry no length), with an
   incremental decoder that tolerates arbitrary partial reads.
-- :mod:`repro.rt.transport` — the transport seam: the
-  :class:`Transport` interface, the :class:`NetsimTransport`
-  extracted from the old ORB binding path, and the client-side
+- :mod:`repro.rt.transport` — the transport seam: the three-verb
+  :class:`Transport` interface (``round_trip``, ``one_way``,
+  ``round_trip_many``) and its two implementations,
+  :class:`NetsimTransport` over the simulated network and
   :class:`AsyncioTransport` speaking framed GIOP over TCP.
 - :mod:`repro.rt.server` / :mod:`repro.rt.client` — the asyncio
   event-loop runner hosting an ordinary ORB on wall-clock time, and
-  the client that issues the *identical* request bytes over sockets.
+  the client: the same ordinary ORB with ``AsyncioTransport``
+  installed, so stubs, mediators, modules and AMI windows run
+  unchanged over sockets.
 - :mod:`repro.rt.harness` — spawn real server/client OS processes and
   collect their results.
 - :mod:`repro.rt.scenarios` / :mod:`repro.rt.conformance` — recorded
-  scenarios replayed on both substrates, asserting byte-identical
-  wire traffic and equivalent QoS outcomes; netsim stays the
-  deterministic oracle for the real thing.
+  scenarios replayed through the same client code on both transports,
+  asserting byte-identical wire traffic and equivalent QoS outcomes;
+  netsim stays the deterministic oracle for the real thing.
 """
 
 from repro.rt.clock import Clock, MonotonicClock, SimClock

@@ -1,423 +1,88 @@
-"""RtClient: the ORB's client-side invocation path over real sockets.
+"""RtClient: an ordinary ORB whose bytes travel over real sockets.
 
-Produces byte-for-byte the same GIOP messages the netsim client does —
-``giop.encode_request`` on the same :class:`~repro.orb.request.Request`
-objects, transformed by the *same* :class:`QoSModule` instances
-(Figure 3's routing: assigned module or the GIOP/IIOP default) — and
-carries them framed over :class:`~repro.rt.transport.AsyncioTransport`
-instead of the simulated network.  IORs keep their *logical* host
-names ("server", "s2", ...), exactly as minted by the serving POA;
-:attr:`addresses` maps each logical host to the real ``(ip, port)``
-its :class:`~repro.rt.server.RtServer` listens on.  That mapping is
-deliberately outside the reference — the encoded request bytes stay
-identical across substrates, which is what the conformance suite
-asserts.
-
-:class:`ReliableInvoker` reuses the reliability layer's primitives —
-:class:`~repro.reliability.retry.BackoffSchedule`,
-:class:`~repro.reliability.breaker.CircuitBreaker`,
-:class:`~repro.reliability.failover.FailoverRotation` — on wall-clock
-time, mirroring the mediator's recovery loop over this transport.
+A sockets client is not a second invocation path.  It is the ORB every
+netsim host runs, with :class:`~repro.rt.transport.AsyncioTransport`
+installed where :class:`~repro.rt.transport.NetsimTransport` was and a
+wall clock as its time source — so stubs, mediator chains, QoS modules
+and AMI windows bound to :attr:`RtClient.orb` run unchanged, and the
+bytes they produce are the ones the simulator carries (the conformance
+suite asserts it).  This class only builds that ORB and forwards a few
+calls to it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.orb import giop
-from repro.orb.exceptions import (
-    COMM_FAILURE,
-    MARSHAL,
-    OVERLOAD,
-    SystemException,
-    TRANSIENT,
-    is_unexecuted,
-    mark_unexecuted,
-)
-from repro.orb.invocation import absorb_reply
+from repro.orb.giop import Reply
 from repro.orb.ior import IOR
-from repro.orb.modules import QoSModule, create_module
-from repro.orb.modules.base import (
-    binding_key,
-    decode_envelope,
-    encode_envelope,
-    is_envelope,
-)
-from repro.orb.request import Request
-from repro.perf.counters import COUNTERS
-from repro.reliability.breaker import CircuitBreaker
-from repro.reliability.failover import FailoverRotation
-from repro.reliability.policy import (
-    BREAKER_OPEN_MINOR,
-    DEADLINE_CONTEXT,
-    ReliabilityPolicy,
-)
-from repro.reliability.retry import BackoffSchedule
+from repro.orb.request import Request, command as make_command
 from repro.rt.clock import Clock, MonotonicClock
+from repro.rt.server import make_rt_orb
 from repro.rt.transport import AsyncioTransport, RtConnection
-from repro.sched.backpressure import Backpressure
-
-
-class _ModuleHost:
-    """Just enough of a QoSTransport for client-side module loading."""
-
-    def __init__(self, client: "RtClient") -> None:
-        self.orb = client
 
 
 class RtClient:
-    """Issue requests to real RtServers; the sockets-side peer of an ORB."""
+    """Handle on one sockets-client ORB; ``addresses`` maps each logical
+    IOR host name to the real ``(ip, port)`` its RtServer listens on."""
 
     def __init__(
         self,
         addresses: Optional[Dict[str, Tuple[str, int]]] = None,
-        transport: Optional[AsyncioTransport] = None,
         clock: Optional[Clock] = None,
     ) -> None:
-        #: logical IOR host name -> real (ip, port).
-        self.addresses: Dict[str, Tuple[str, int]] = dict(addresses or {})
-        self.transport = transport if transport is not None else AsyncioTransport()
-        self._owns_transport = transport is None
-        self.clock = clock if clock is not None else MonotonicClock()
-        self._connections: Dict[str, RtConnection] = {}
-        self._host = _ModuleHost(self)
-        self._modules: Dict[str, QoSModule] = {}
-        self._assignments: Dict[str, str] = {}
-        #: Server retry-after hints, same tracker the sim client uses.
-        self.backpressure = Backpressure()
-        self.requests_invoked = 0
-        self.load_module("iiop")
-
-    # -- module administration (client half of Figure 3) ------------------
-
-    def load_module(self, name: str) -> QoSModule:
-        module = self._modules.get(name)
-        if module is None:
-            module = create_module(name)
-            module.on_load(self._host)
-            self._modules[name] = module
-        return module
-
-    def module(self, name: str) -> QoSModule:
-        return self.load_module(name)
-
-    def assign(self, target: IOR, module_name: str) -> str:
-        """Assign a QoS module to the relationship with ``target``."""
-        self.load_module(module_name)
-        key = binding_key(target)
-        self._assignments[key] = module_name
-        return key
-
-    def _route(self, request: Request) -> QoSModule:
-        if request.is_command or not request.target.is_qos_aware:
-            return self._modules["iiop"]
-        name = self._assignments.get(request.target.binding_key())
-        return self._modules[name] if name is not None else self._modules["iiop"]
-
-    # -- connections ------------------------------------------------------
-
-    def register(self, logical_host: str, host: str, port: int) -> None:
-        self.addresses[logical_host] = (host, port)
-
-    def connection(self, logical_host: str) -> RtConnection:
-        connection = self._connections.get(logical_host)
-        if connection is None:
-            try:
-                host, port = self.addresses[logical_host]
-            except KeyError:
-                raise mark_unexecuted(
-                    COMM_FAILURE(f"no address registered for {logical_host!r}")
-                ) from None
-            connection = self.transport.connect(host, port)
-            self._connections[logical_host] = connection
-        return connection
-
-    def _drop_connection(self, logical_host: str) -> None:
-        connection = self._connections.pop(logical_host, None)
-        if connection is not None:
-            try:
-                connection.close()
-            except Exception:  # teardown of an already-dead socket
-                pass
-
-    # -- invocation -------------------------------------------------------
+        clock = clock if clock is not None else MonotonicClock()
+        self.transport = AsyncioTransport(addresses, clock)
+        #: Bind stubs and mediators to this, as on any netsim host.
+        self.orb = make_rt_orb("client")
+        self.orb.install_transport(self.transport)
+        self.orb.use_time_source(clock)
+        # The ORB models its own CPU cost in simulated seconds.  On
+        # wall time that cost is paid for real, and a modelled 2 us
+        # would become a real sleep before every reply.
+        self.orb.HOP_COST = self.orb.MARSHAL_COST_PER_BYTE = 0.0
 
     def invoke(self, request: Request) -> Any:
         """Issue one request; return its result or raise its exception."""
-        reply = self.outcome(request)
-        return reply.value()
+        return self.orb.invoke(request)
 
-    def outcome(self, request: Request) -> giop.Reply:
+    def outcome(self, request: Request) -> Reply:
         """Issue one request; return the decoded reply object."""
-        self.requests_invoked += 1
-        module = self._route(request)
-        wire = self._encode(request, module)
-        logical_host = request.target.profile.host
-        try:
-            reply_wire = self.connection(logical_host).round_trip(wire)
-        except SystemException:
-            self._drop_connection(logical_host)
-            raise
-        reply = self._decode(reply_wire, module)
-        if request.response_expected:
-            module.requests_sent += 1
-            absorb_reply(self, logical_host, reply, self.clock.now())
-            return reply
-        # Oneway: the reply frame was only the transport-level ack.
-        module.requests_sent += 1
-        return giop.Reply(request.request_id, {}, None, None)
+        return self.orb.invoke_deferred(request).reply()
 
-    def invoke_window(self, requests: List[Request]) -> List[giop.Reply]:
-        """Pipelined window: write every request, then drain the replies.
-
-        All requests must ride the same binding (one connection); the
-        replies come back correlated by GIOP request id, mirroring the
-        AMI pipeline's completion-order handling.
-        """
-        if not requests:
-            return []
-        module = self._route(requests[0])
-        logical_host = requests[0].target.profile.host
-        bodies = [giop.encode_request(r) for r in requests]
-        if module.uses_envelope:
-            wrapped = module.wrap_burst(bodies, module.context_for(requests[0]))
-            wires = [
-                encode_envelope(module.name, params, payload)
-                for params, payload, _ in wrapped
-            ]
-        else:
-            wires = bodies
-        self.requests_invoked += len(requests)
-        try:
-            reply_wires = self.connection(logical_host).round_trip_many(wires)
-        except SystemException:
-            self._drop_connection(logical_host)
-            raise
-        by_id: Dict[int, giop.Reply] = {}
-        for reply_wire in reply_wires:
-            reply = self._decode(reply_wire, module)
-            by_id[reply.request_id] = reply
-            absorb_reply(self, logical_host, reply, self.clock.now())
-        module.requests_sent += len(requests)
-        # Unattributable replies (the server answers id 0 when it
-        # cannot even read the request) fall back positionally.
-        replies: List[giop.Reply] = []
-        leftovers = [r for rid, r in by_id.items() if rid == 0]
-        for request in requests:
-            reply = by_id.get(request.request_id)
-            if reply is None and leftovers:
-                reply = leftovers.pop(0)
-            if reply is None:
-                reply = giop.Reply(
-                    request.request_id,
-                    {},
-                    None,
-                    MARSHAL("no reply correlated to this request"),
-                )
-            replies.append(reply)
-        return replies
+    def invoke_window(self, requests: List[Request]) -> List[Reply]:
+        """Pipelined window: write every request, then drain the replies."""
+        futures = [self.orb.invoke_deferred(request) for request in requests]
+        self.orb.ami.flush()
+        return [future.reply() for future in futures]
 
     def command(
         self, target: IOR, command_target: str, operation: str, *args: Any
     ) -> Any:
         """Issue a module/transport command to the serving ORB."""
-        from repro.orb.request import command as make_command
-
-        return self.invoke(make_command(target, command_target, operation, *args))
+        return self.orb.invoke(make_command(target, command_target, operation, *args))
 
     def locate(self, ior: IOR) -> bool:
         """GIOP LocateRequest over the socket."""
-        from repro.orb.request import next_request_id
+        return self.orb.locate(ior)
 
-        request_id = next_request_id()
-        wire = giop.encode_locate_request(request_id, ior.profile.object_key)
-        reply_wire = self.connection(ior.profile.host).round_trip(wire)
-        reply_id, status = giop.decode_locate_reply(reply_wire)
-        if reply_id != request_id:
-            raise MARSHAL(
-                f"LocateReply correlates to request {reply_id}, "
-                f"expected {request_id}"
-            )
-        return status == giop.OBJECT_HERE
+    def assign(self, target: IOR, module_name: str) -> str:
+        """Assign a QoS module to the relationship with ``target``."""
+        return self.orb.qos_transport.assign(target, module_name)
 
-    # -- encode/decode (identical transforms to the sim path) -------------
+    def module(self, name: str) -> Any:
+        """The client-side instance of a QoS module, loaded on demand."""
+        return self.orb.qos_transport.require_module(name)
 
-    def _encode(self, request: Request, module: QoSModule) -> bytes:
-        wire = giop.encode_request(request)
-        if module.uses_envelope:
-            params, payload, _ = module.wrap(wire, module.context_for(request))
-            wire = encode_envelope(module.name, params, payload)
-        return wire
-
-    def _decode(self, reply_wire: bytes, module: QoSModule) -> giop.Reply:
-        if is_envelope(reply_wire):
-            envelope_name, params, payload = decode_envelope(reply_wire)
-            if envelope_name != module.name:
-                raise MARSHAL(
-                    f"reply wrapped by {envelope_name!r}, expected {module.name!r}"
-                )
-            reply_wire, _ = module.unwrap(params, payload)
-        return giop.decode_reply(reply_wire)
-
-    # -- lifecycle --------------------------------------------------------
+    def connection(self, logical_host: str) -> RtConnection:
+        """The framed connection to one host (benchmarks time on it)."""
+        return self.transport.connection(logical_host)
 
     def close(self) -> None:
-        for logical_host in list(self._connections):
-            self._drop_connection(logical_host)
-        if self._owns_transport:
-            self.transport.close()
+        self.transport.close()
 
     def __enter__(self) -> "RtClient":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-#: Errors worth re-issuing at all (mirrors the reliability mediator).
-_RETRIABLE = (COMM_FAILURE, TRANSIENT)
-
-
-class ReliableInvoker:
-    """The reliability mediator's recovery loop over the rt transport.
-
-    Same decision structure as
-    :class:`~repro.reliability.mediator.ReliabilityMediator`: deadline
-    check, breaker-gated target selection over a ``GROUP_TAG``
-    rotation, at-most-once retry gating, backoff merged with the
-    server's retry-after hints — except the pauses really sleep and
-    the deadlines are wall-clock.
-    """
-
-    def __init__(
-        self,
-        client: RtClient,
-        ior: IOR,
-        policy: Optional[ReliabilityPolicy] = None,
-        idempotent_ops: frozenset = frozenset(),
-    ) -> None:
-        self.client = client
-        self.policy = policy if policy is not None else ReliabilityPolicy()
-        self.backoff = BackoffSchedule(self.policy)
-        self.rotation = FailoverRotation(ior)
-        self.idempotent_ops = idempotent_ops
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self.retries_used = 0
-        self.failovers = 0
-        self.deadlines_expired = 0
-
-    def call(self, operation: str, *args: Any) -> Any:
-        clock = self.client.clock
-        deadline_at = (
-            clock.now() + self.policy.deadline
-            if self.policy.deadline is not None
-            else None
-        )
-        attempt = 0
-        while True:
-            if deadline_at is not None and clock.now() >= deadline_at:
-                self.deadlines_expired += 1
-                from repro.orb.exceptions import TIMEOUT
-
-                raise TIMEOUT(
-                    f"reliability deadline {deadline_at:.6f}s expired before issue"
-                )
-            target = self._select_target(clock.now())
-            contexts = (
-                {DEADLINE_CONTEXT: deadline_at} if deadline_at is not None else None
-            )
-            request = Request(
-                target, operation, args, service_contexts=contexts or {}
-            )
-            try:
-                value = self.client.invoke(request)
-            except SystemException as error:
-                self._breaker(target).record_failure(clock.now())
-                if not self._may_retry(operation, error):
-                    raise
-                if attempt >= self.policy.max_retries:
-                    COUNTERS.rel_retry_exhausted += 1
-                    raise
-                attempt += 1
-                self.retries_used += 1
-                COUNTERS.rel_retries += 1
-                self._pause_and_rebind(target, error, attempt, deadline_at)
-                continue
-            self._breaker(target).record_success()
-            return value
-
-    # -- the mediator's decision points, wall-clock edition ---------------
-
-    def _may_retry(self, operation: str, error: Exception) -> bool:
-        if not isinstance(error, _RETRIABLE):
-            return False
-        if operation in self.idempotent_ops or operation in self.policy.idempotent_ops:
-            return True
-        return is_unexecuted(error)
-
-    def _pause_and_rebind(
-        self,
-        target: IOR,
-        error: SystemException,
-        attempt: int,
-        deadline_at: Optional[float],
-    ) -> None:
-        clock = self.client.clock
-        failing_host = target.profile.host
-        fail_over = (
-            self.policy.failover
-            and len(self.rotation) > 1
-            and not isinstance(error, OVERLOAD)
-            and getattr(error, "minor", 0) != BREAKER_OPEN_MINOR
-        )
-        if fail_over:
-            retry_after = getattr(error, "retry_after", None)
-            if retry_after:
-                self.client.backpressure.note(
-                    failing_host, float(retry_after), clock.now()
-                )
-            self.rotation.advance()
-            self.failovers += 1
-            COUNTERS.rel_failovers += 1
-            delay = 0.0
-        else:
-            delay = self.client.backpressure.retry_delay(
-                failing_host, error, clock.now(), self.backoff.delay(attempt)
-            )
-        if deadline_at is not None and clock.now() + delay >= deadline_at:
-            self.deadlines_expired += 1
-            from repro.orb.exceptions import TIMEOUT
-
-            raise TIMEOUT(
-                f"backoff of {delay:.6f}s would overrun the deadline "
-                f"{deadline_at:.6f}s"
-            ) from error
-        if delay > 0.0:
-            clock.wait(delay)
-
-    def _breaker(self, target: IOR) -> CircuitBreaker:
-        key = target.binding_key()
-        breaker = self._breakers.get(key)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self.policy.breaker_threshold, self.policy.breaker_cooldown
-            )
-            self._breakers[key] = breaker
-        return breaker
-
-    def _select_target(self, now: float) -> IOR:
-        for _ in range(len(self.rotation)):
-            target = self.rotation.active
-            if self._breaker(target).allow(now):
-                return target
-            if self.policy.failover and len(self.rotation) > 1:
-                self.rotation.advance()
-            else:
-                break
-        COUNTERS.rel_breaker_fast_fails += 1
-        raise mark_unexecuted(
-            TRANSIENT(
-                f"circuit breaker open for {self.rotation.active.binding_key()}",
-                minor=BREAKER_OPEN_MINOR,
-            )
-        )

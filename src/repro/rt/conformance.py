@@ -1,9 +1,10 @@
-"""Netsim/real conformance: one ORB, two substrates, identical bytes.
+"""Netsim/real conformance: one client, two transports, identical bytes.
 
 Each :class:`~repro.rt.scenarios.Scenario` runs twice — once through
 the simulated network (:class:`NetsimDriver`) and once over asyncio
 TCP against in-process :class:`~repro.rt.server.RtServer` instances
-(:class:`RtDriver`) — under an identical determinism discipline:
+(:class:`RtDriver`) — through the same :class:`Driver` code on an
+ordinary client ORB, under an identical determinism discipline:
 request-id allocator reset, GIOP/IOR cache reset, same servants, same
 request script.  The runner then asserts:
 
@@ -23,9 +24,10 @@ request script.  The runner then asserts:
 from __future__ import annotations
 
 import socket
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.orb import giop, ior as ior_mod
+from repro.orb.ami import ReplyFuture
 from repro.orb.exceptions import SystemException, is_unexecuted
 from repro.orb.ior import IOR
 from repro.orb.orb import ORB
@@ -34,7 +36,7 @@ from repro.orb.stub import Stub
 from repro.orb.world import World
 from repro.reliability.mediator import ReliabilityMediator
 from repro.reliability.policy import ReliabilityPolicy
-from repro.rt.client import ReliableInvoker, RtClient
+from repro.rt.client import RtClient
 from repro.rt.scenarios import Scenario
 from repro.rt.server import RtServer, make_rt_orb
 from repro.sched.scheduler import RETRY_AFTER_CONTEXT
@@ -57,12 +59,15 @@ def _record(op: str, fn: Callable[[], Any], hint: bool = False) -> dict:
     return {"op": op, "ok": True, "value": value, "retry_after_hint": hint}
 
 
-def _reply_record(op: str, reply: giop.Reply) -> dict:
-    """A record for an already-decoded reply (window replies)."""
-    hint = bool(reply.service_contexts) and RETRY_AFTER_CONTEXT in (
-        reply.service_contexts or {}
+def _future_record(op: str, future: ReplyFuture) -> dict:
+    """A record for one future of a flushed window."""
+    try:
+        reply = future.reply()
+    except SystemException:
+        return _record(op, future.result)  # no reply: raises the same failure
+    return _record(
+        op, reply.value, RETRY_AFTER_CONTEXT in (reply.service_contexts or {})
     )
-    return _record(op, reply.value, hint)
 
 
 class _CallStub(Stub):
@@ -73,61 +78,43 @@ class _CallStub(Stub):
 
 
 class Driver:
-    """What a scenario needs to drive requests, substrate-blind."""
+    """What a scenario drives requests through, written once.
 
-    def invoke(self, request: Request) -> dict:
-        raise NotImplementedError
+    Every request-issuing method goes through :attr:`orb`, an ordinary
+    client ORB; the two subclasses only build, start and close a
+    deployment around it.  So the suite compares the *same client
+    code* on two transports, not two clients.
+    """
 
-    def window(self, requests: List[Request]) -> List[dict]:
-        raise NotImplementedError
-
-    def command(
-        self, target: IOR, command_target: str, operation: str, *args: Any
-    ) -> dict:
-        raise NotImplementedError
-
-    def assign(self, target: IOR, module_name: str) -> None:
-        raise NotImplementedError
-
-    def client_module(self, name: str) -> Any:
-        raise NotImplementedError
-
-    def reliable_call(
-        self, target: IOR, operation: str, *args: Any, policy: ReliabilityPolicy
-    ) -> dict:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class NetsimDriver(Driver):
-    """The scenario over the simulated network, one world per run."""
+    #: The client ORB (set by the subclass before any request).
+    orb: ORB
 
     def __init__(self, scenario: Scenario) -> None:
-        self.world = World()
-        names = ["client"] + list(scenario.server_hosts) + list(scenario.dead_hosts)
-        self.world.lan(names, latency=0.0005)
-        self.orb = self.world.orb("client")
         #: host -> {"in": [request wires], "out": [reply wires]}.
         self.wires: Dict[str, Dict[str, List[bytes]]] = {}
-        self._server_orbs: List[Tuple[ORB, Callable]] = []
+        self._taps: List[Tuple[ORB, Callable]] = []
         for host in scenario.server_hosts:
-            server_orb = self.world.orb(host)
-            tap = self._tap(host)
+            capture = self.wires[host] = {"in": [], "out": []}
+
+            def tap(direction: str, wire: bytes, capture=capture) -> None:
+                capture[direction].append(bytes(wire))
+
+            server_orb = self.orb_for(host)
             server_orb.add_wire_observer(tap)
-            self._server_orbs.append((server_orb, tap))
-
-    def _tap(self, host: str):
-        capture = self.wires.setdefault(host, {"in": [], "out": []})
-
-        def observe(direction: str, wire: bytes) -> None:
-            capture[direction].append(bytes(wire))
-
-        return observe
+            self._taps.append((server_orb, tap))
 
     def orb_for(self, host: str) -> ORB:
-        return self.world.orb(host)
+        """The serving ORB on logical host ``host``."""
+        raise NotImplementedError
+
+    def start(self) -> None:
+        """Bring the deployment up (after the scenario built its servants)."""
+
+    def close(self) -> None:
+        for server_orb, tap in self._taps:
+            server_orb.remove_wire_observer(tap)
+
+    # -- issuing requests: the same code on either transport --------------
 
     def invoke(self, request: Request) -> dict:
         return _record(request.operation, lambda: self.orb.invoke(request))
@@ -135,18 +122,14 @@ class NetsimDriver(Driver):
     def window(self, requests: List[Request]) -> List[dict]:
         futures = [self.orb.invoke_deferred(request) for request in requests]
         self.orb.ami.flush()
-        records = []
-        for request, future in zip(requests, futures):
-            if future._reply is not None:
-                records.append(_reply_record(request.operation, future._reply))
-            else:
-                error = future._error
+        return [
+            _future_record(request.operation, future)
+            for request, future in zip(requests, futures)
+        ]
 
-                def raiser(error=error):
-                    raise error
-
-                records.append(_record(request.operation, raiser))
-        return records
+    def call(self, stub: Any, operation: str, *args: Any) -> dict:
+        """One call on a stub bound to :attr:`orb`, whatever is woven in."""
+        return _record(operation, lambda: getattr(stub, operation)(*args))
 
     def command(
         self, target: IOR, command_target: str, operation: str, *args: Any
@@ -170,9 +153,19 @@ class NetsimDriver(Driver):
         record["retries"] = mediator.retries_used
         return record
 
-    def close(self) -> None:
-        for server_orb, tap in self._server_orbs:
-            server_orb.remove_wire_observer(tap)
+
+class NetsimDriver(Driver):
+    """The scenario over the simulated network, one world per run."""
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.world = World()
+        names = ["client"] + list(scenario.server_hosts) + list(scenario.dead_hosts)
+        self.world.lan(names, latency=0.0005)
+        self.orb = self.world.orb("client")
+        super().__init__(scenario)
+
+    def orb_for(self, host: str) -> ORB:
+        return self.world.orb(host)
 
 
 def _dead_address() -> Tuple[str, int]:
@@ -192,74 +185,21 @@ class RtDriver(Driver):
         self.servers: Dict[str, RtServer] = {
             host: RtServer(orb=make_rt_orb(host)) for host in scenario.server_hosts
         }
-        self.wires: Dict[str, Dict[str, List[bytes]]] = {}
-        for host, server in self.servers.items():
-            server.orb.add_wire_observer(self._tap(host))
-        addresses: Dict[str, Tuple[str, int]] = {}
-        for host in scenario.dead_hosts:
-            addresses[host] = _dead_address()
-        self._addresses = addresses
-        self.client: Optional[RtClient] = None
-
-    def _tap(self, host: str):
-        capture = self.wires.setdefault(host, {"in": [], "out": []})
-
-        def observe(direction: str, wire: bytes) -> None:
-            capture[direction].append(bytes(wire))
-
-        return observe
+        self.client = RtClient({host: _dead_address() for host in scenario.dead_hosts})
+        self.orb = self.client.orb
+        super().__init__(scenario)
 
     def orb_for(self, host: str) -> ORB:
         return self.servers[host].orb
 
     def start(self) -> None:
-        """Bind the listeners and open the client (after scenario build)."""
+        """Bind the listeners; the client dials each on first use."""
         for host, server in self.servers.items():
-            self._addresses[host] = server.start()
-        self.client = RtClient(self._addresses)
-
-    def invoke(self, request: Request) -> dict:
-        return _record(request.operation, lambda: self.client.invoke(request))
-
-    def window(self, requests: List[Request]) -> List[dict]:
-        try:
-            replies = self.client.invoke_window(requests)
-        except SystemException as error:
-
-            def raiser(error=error):
-                raise error
-
-            return [_record(r.operation, raiser) for r in requests]
-        return [
-            _reply_record(request.operation, reply)
-            for request, reply in zip(requests, replies)
-        ]
-
-    def command(
-        self, target: IOR, command_target: str, operation: str, *args: Any
-    ) -> dict:
-        return _record(
-            f"cmd:{operation}",
-            lambda: self.client.command(target, command_target, operation, *args),
-        )
-
-    def assign(self, target: IOR, module_name: str) -> None:
-        self.client.assign(target, module_name)
-
-    def client_module(self, name: str) -> Any:
-        return self.client.module(name)
-
-    def reliable_call(
-        self, target: IOR, operation: str, *args: Any, policy: ReliabilityPolicy
-    ) -> dict:
-        invoker = ReliableInvoker(self.client, target, policy=policy)
-        record = _record(operation, lambda: invoker.call(operation, *args))
-        record["retries"] = invoker.retries_used
-        return record
+            self.client.transport.addresses[host] = server.start()
 
     def close(self) -> None:
-        if self.client is not None:
-            self.client.close()
+        super().close()
+        self.client.close()
         for server in self.servers.values():
             server.stop()
 
@@ -267,27 +207,12 @@ class RtDriver(Driver):
 # -- running one scenario on one substrate --------------------------------
 
 
-def _reset_determinism() -> None:
-    """Identical starting state for both runs of a scenario."""
+def _run_scenario(scenario: Scenario, driver_class: type) -> Dict[str, Any]:
+    # Identical starting state for both runs of a scenario.
     reset_request_ids()
     giop.clear_caches()
     ior_mod.clear_caches()
-
-
-def run_scenario_netsim(scenario: Scenario) -> Dict[str, Any]:
-    _reset_determinism()
-    driver = NetsimDriver(scenario)
-    try:
-        iors = scenario.build(driver.orb_for)
-        records = scenario.drive(driver, iors)
-        return {"records": records, "wires": driver.wires}
-    finally:
-        driver.close()
-
-
-def run_scenario_rt(scenario: Scenario) -> Dict[str, Any]:
-    _reset_determinism()
-    driver = RtDriver(scenario)
+    driver = driver_class(scenario)
     try:
         iors = scenario.build(driver.orb_for)
         driver.start()
@@ -295,6 +220,14 @@ def run_scenario_rt(scenario: Scenario) -> Dict[str, Any]:
         return {"records": records, "wires": driver.wires}
     finally:
         driver.close()
+
+
+def run_scenario_netsim(scenario: Scenario) -> Dict[str, Any]:
+    return _run_scenario(scenario, NetsimDriver)
+
+
+def run_scenario_rt(scenario: Scenario) -> Dict[str, Any]:
+    return _run_scenario(scenario, RtDriver)
 
 
 # -- comparison ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Process harness: RtServer and RtClient in separate OS processes.
+"""Process harness: an RtServer and sockets clients in separate OS processes.
 
 The conformance drivers run both substrates in one process for
 byte-capture; this module is the real-deployment shape — a server
@@ -14,7 +14,9 @@ child listening on TCP and client children dialing it, each a plain
 ``serve`` resolves a factory returning an :class:`RtServer` (or an ORB
 to wrap in one), prints ``RT-READY <host> <port>`` once the socket
 listens, and serves until killed.  ``client`` resolves a callable
-``fn(host, port, payload) -> dict`` and prints its result as JSON.
+``fn(host, port, payload) -> dict`` — typically one that binds stubs to
+an :class:`~repro.rt.client.RtClient`'s ORB — and prints its result as
+JSON.
 :func:`spawn_server` / :func:`run_client` wrap both for tests,
 benchmarks and examples.
 """

@@ -16,13 +16,21 @@ two-process example share the same servant.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, List
 
 from repro.ciphers.keyex import KeyExchange
+from repro.core.binding import QoSProvider
+from repro.core.mediator import MediatorChain
+from repro.core.negotiation import Range
 from repro.orb.ior import GROUP_TAG, IIOPProfile, IOR, QOS_TAG, TaggedComponent
 from repro.orb.modules.base import binding_key
 from repro.orb.request import Request, TRANSPORT_TARGET
 from repro.orb.servant import Servant
+from repro.orb.stub import Stub
+from repro.qos import weave
+from repro.qos.compression.payload import CompressionImpl
+from repro.reliability.mediator import ReliabilityMediator
 from repro.reliability.policy import ReliabilityPolicy
 
 ECHO_REPO_ID = "IDL:test/Echo:1.0"
@@ -236,6 +244,76 @@ class FailoverScenario(Scenario):
         ]
 
 
+ARCHIVE_QIDL = """
+interface Archive provides Compression {
+    string fetch(in string path);
+    void store(in string path, in string content);
+    long size();
+};
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _archive_module():
+    """The generated Archive stub and server base, compiled once."""
+    return weave(ARCHIVE_QIDL, "rt_conformance_archive")
+
+
+class WovenStackScenario(Scenario):
+    """The paper's whole stack: a QIDL-generated stub, a mediator chain
+    and an assigned QoS module, with only the wire underneath differing.
+
+    The reliability policy sets no deadline on purpose:
+    ``maqs.reliability.deadline`` carries an absolute reading of the
+    client's clock, so its bytes would legitimately differ between a
+    simulated and a wall clock.
+    """
+
+    name = "woven-stack"
+
+    def build(self, orb_for) -> Dict[str, IOR]:
+        class ArchiveServant(_archive_module().ArchiveServerBase):
+            _default_service_time = 0.0005
+
+            def __init__(self) -> None:
+                super().__init__()
+                self.files: Dict[str, str] = {}
+
+            def fetch(self, path: str) -> str:
+                return self.files.get(path, "")
+
+            def store(self, path: str, content: str) -> None:
+                self.files[path] = content
+
+            def size(self) -> int:
+                return len(self.files)
+
+        orb = orb_for("server")
+        provider = QoSProvider(orb.world, orb.host_name, ArchiveServant())
+        provider.support(
+            "Compression",
+            CompressionImpl(),
+            capabilities={"threshold": Range(64, 4096)},
+            module_name="compression",
+        )
+        return {"archive": provider.activate("archive")}
+
+    def drive(self, driver, iors: Dict[str, IOR]) -> List[dict]:
+        target = iors["archive"]
+        driver.assign(target, "compression")
+        driver.client_module("compression").set_codec(binding_key(target), "rle")
+        stub = _archive_module().ArchiveStub(driver.orb, target)
+        MediatorChain(
+            ReliabilityMediator(ReliabilityPolicy(max_retries=2))
+        ).install(stub)
+        ruled = ("=" * 72 + "\n" + " " * 8 + "badger\n") * 12  # runs, so rle bites
+        return [
+            driver.call(stub, "store", "notes/badgers.txt", ruled),
+            driver.call(stub, "fetch", "notes/badgers.txt"),
+            driver.call(stub, "size"),
+        ]
+
+
 #: The conformance suite, in replay order.
 ALL_SCENARIOS = (
     EchoScenario(),
@@ -244,6 +322,7 @@ ALL_SCENARIOS = (
     WfqOverloadScenario(),
     BackpressureScenario(),
     FailoverScenario(),
+    WovenStackScenario(),
 )
 
 
@@ -259,6 +338,19 @@ def echo_server():
     return RtServer(orb)
 
 
+class EchoStub(Stub):
+    """Hand-written stub for the echo servant (no QIDL needed)."""
+
+    def echo(self, text: str) -> str:
+        return self._call("echo", text)
+
+    def whoami(self) -> str:
+        return self._call("whoami")
+
+    def add(self, a: Any, b: Any) -> Any:
+        return self._call("add", a, b)
+
+
 def echo_client(host: str, port: int, payload: Dict[str, Any]) -> Dict[str, Any]:
     """Harness child: run ``count`` echo round trips, report throughput."""
     import time
@@ -268,11 +360,11 @@ def echo_client(host: str, port: int, payload: Dict[str, Any]) -> Dict[str, Any]
     count = int(payload.get("count", 100))
     ior = IOR(ECHO_REPO_ID, IIOPProfile("server", 683, "echo"), [])
     with RtClient({"server": (host, port)}) as client:
+        echo = EchoStub(client.orb, ior)
         replies = 0
         start = time.perf_counter()
         for index in range(count):
-            value = client.invoke(Request(ior, "echo", (f"msg-{index}",)))
-            if value == f"MSG-{index}":
+            if echo.echo(f"msg-{index}") == f"MSG-{index}":
                 replies += 1
         elapsed = time.perf_counter() - start
     return {

@@ -2,53 +2,58 @@
 
 :class:`Transport` is the narrow interface the ORB's client side binds
 against; everything above it (modules, scheduler, mediators, AMI) is
-substrate-free.  Two implementations:
+substrate-free.  It has three verbs — :meth:`~Transport.round_trip`,
+:meth:`~Transport.one_way` and :meth:`~Transport.round_trip_many` — and
+two implementations:
 
-- :class:`NetsimTransport` — the simulated binding path extracted
-  verbatim from the old ``ORB.round_trip``/``one_way``: the netsim
-  ``Network`` carries the bytes, the destination ORB is invoked
-  in-process, and failures surface as the exact CORBA exceptions
-  (with the same unexecuted markings) the reliability layer keys on.
-- :class:`AsyncioTransport` — framed GIOP over real TCP sockets, used
-  by :class:`repro.rt.client.RtClient` against a
-  :class:`repro.rt.server.RtServer`.  It owns a background asyncio
-  event loop so synchronous callers (and benchmarks) can drive it.
+- :class:`NetsimTransport` — the netsim ``Network`` carries the bytes
+  and the destination ORB is invoked in-process; every instant is
+  simulated.
+- :class:`AsyncioTransport` — framed GIOP over real TCP sockets to
+  :class:`repro.rt.server.RtServer` peers.  It owns the logical-host →
+  ``(ip, port)`` map, one cached :class:`RtConnection` per host and a
+  background asyncio event loop, so the synchronous ORB above it is
+  unchanged; every instant is read from its :class:`~repro.rt.clock.Clock`.
 
-Failure-marking contract (shared by both): a failure on the *forward*
-leg is marked unexecuted — the request never reached a live servant,
-so a retry cannot duplicate an execution; reply-leg failures are
-ambiguous and stay unmarked.
+An ORB with either installed (``ORB.install_transport``) is a complete
+client: stubs, mediator chains, QoS modules and AMI windows run the
+same code over both.
+
+Failure contract (shared by both, pinned by
+``tests/rt/test_transport_seam.py``): failures are CORBA system
+exceptions; one on the *forward* leg is marked unexecuted — the
+request never reached a live servant, so a retry cannot duplicate an
+execution; reply-leg failures are ambiguous and stay unmarked.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.netsim.network import HostCrashed, NoRoute, PacketLost
-from repro.orb.exceptions import COMM_FAILURE, TRANSIENT, mark_unexecuted
+from repro.orb.exceptions import (
+    COMM_FAILURE,
+    SystemException,
+    TRANSIENT,
+    mark_unexecuted,
+)
 from repro.perf.counters import COUNTERS
+from repro.rt.clock import Clock, MonotonicClock
 from repro.rt.framing import FrameDecoder, encode_frame
+
+#: One message of a pipelined window: ``(wire, depart_time, reservations)``.
+Leg = Tuple[bytes, float, Optional[Dict[int, float]]]
+#: What became of it: ``(reply_wire, None, finish_time)``, or
+#: ``(None, error, known_at)`` — the instant the failure became known.
+LegOutcome = Tuple[Optional[bytes], Optional[SystemException], float]
 
 
 class Transport:
-    """What the ORB needs from a wire: legs, peers, round trips."""
-
-    def send_leg(
-        self,
-        dest_host: str,
-        nbytes: int,
-        reservations: Optional[Dict[int, float]] = None,
-        forward: bool = True,
-    ) -> float:
-        """Carry ``nbytes`` one way; returns the transit delay."""
-        raise NotImplementedError
-
-    def peer(self, dest_host: str):
-        """The entity that will process bytes sent to ``dest_host``."""
-        raise NotImplementedError
+    """What the ORB needs from a wire: three ways to cross it."""
 
     def round_trip(
         self,
@@ -61,7 +66,22 @@ class Transport:
         raise NotImplementedError
 
     def one_way(self, dest_host: str, wire: bytes, depart_time: float) -> None:
-        """Fire-and-forget delivery; failures swallowed but counted."""
+        """Deliver without waiting for an outcome.
+
+        Raises like :meth:`round_trip` when delivery fails;
+        ``ORB.one_way`` swallows and counts that (CORBA oneway is
+        best-effort), so the policy lives in one place.
+        """
+        raise NotImplementedError
+
+    def round_trip_many(
+        self, dest_host: str, legs: Sequence[Leg]
+    ) -> Iterable[LegOutcome]:
+        """A pipelined window: no leg waits for an earlier leg's reply.
+
+        Never raises for a failed leg — gives one outcome per leg, in
+        order, so a fault mid-window fails only the legs it hit.
+        """
         raise NotImplementedError
 
     def close(self) -> None:
@@ -69,7 +89,7 @@ class Transport:
 
 
 class NetsimTransport(Transport):
-    """The simulated substrate, unchanged semantics behind the seam."""
+    """The simulated substrate: netsim links, in-process peer ORBs."""
 
     __slots__ = ("orb",)
 
@@ -83,6 +103,7 @@ class NetsimTransport(Transport):
         reservations: Optional[Dict[int, float]] = None,
         forward: bool = True,
     ) -> float:
+        """Carry ``nbytes`` one way; returns the transit delay."""
         orb = self.orb
         src, dst = (
             (orb.host_name, dest_host) if forward else (dest_host, orb.host_name)
@@ -96,6 +117,7 @@ class NetsimTransport(Transport):
         raise (mark_unexecuted(failure) if forward else failure) from None
 
     def peer(self, dest_host: str) -> Any:
+        """The ORB that will process bytes sent to ``dest_host``."""
         try:
             return self.orb.world.orb_at(dest_host)
         except COMM_FAILURE as error:
@@ -115,12 +137,33 @@ class NetsimTransport(Transport):
         return reply_wire, finish + back
 
     def one_way(self, dest_host: str, wire: bytes, depart_time: float) -> None:
-        try:
-            delay = self.send_leg(dest_host, len(wire))
-            server = self.peer(dest_host)
-            server.handle_incoming(wire, depart_time + delay)
-        except (COMM_FAILURE, TRANSIENT):
-            self.orb.oneway_failures += 1
+        delay = self.send_leg(dest_host, len(wire))
+        self.peer(dest_host).handle_incoming(wire, depart_time + delay)
+
+    def round_trip_many(
+        self, dest_host: str, legs: Sequence[Leg]
+    ) -> Iterable[LegOutcome]:
+        # Each message crosses on its own and the server processes them
+        # in overlapping simulated time.  Outcomes are yielded one by
+        # one: what the caller does about a failed leg (a reliability
+        # replay draws on the same links) happens before the next leg
+        # departs, which seeded runs depend on.  A failure is known at
+        # the instant the leg it hit would have ended: departure for
+        # the forward link, arrival for a missing peer or a refused
+        # message, the server's finish for the reply link.
+        for wire, depart_time, reservations in legs:
+            known_at = depart_time
+            try:
+                known_at += self.send_leg(dest_host, len(wire), reservations)
+                server = self.peer(dest_host)
+                reply_wire, known_at = server.handle_incoming(wire, known_at)
+                back = self.send_leg(
+                    dest_host, len(reply_wire), reservations, forward=False
+                )
+            except SystemException as error:
+                yield None, error, known_at
+            else:
+                yield reply_wire, None, known_at + back
 
 
 class RtConnection:
@@ -234,15 +277,28 @@ class RtConnection:
             pass
 
 
-class AsyncioTransport:
-    """Client-side connection factory over a background event loop.
+class AsyncioTransport(Transport):
+    """Framed GIOP over TCP to the RtServer behind each logical host.
+
+    IORs keep the *logical* host names their serving POA minted
+    ("server", "s2", ...); :attr:`addresses` maps each to the real
+    ``(ip, port)`` — deliberately outside the reference, so the encoded
+    request bytes are the same on every substrate.  One connection per
+    host is dialled on first use and dropped on any failure, so the
+    next call redials instead of reading a stale stream.
 
     Owns one asyncio loop on a daemon thread; synchronous callers
-    submit coroutines through :meth:`call`.  Connections are plain
-    ``(reader, writer)`` stream pairs wrapped in :class:`RtConnection`.
+    submit coroutines through :meth:`call`.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        addresses: Optional[Dict[str, Tuple[str, int]]] = None,
+        clock: Optional[Clock] = None,
+    ) -> None:
+        self.addresses: Dict[str, Tuple[str, int]] = dict(addresses or {})
+        self.clock = clock if clock is not None else MonotonicClock()
+        self._connections: Dict[str, RtConnection] = {}
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="rt-transport", daemon=True
@@ -253,25 +309,88 @@ class AsyncioTransport:
     def call(self, coro, timeout: Optional[float] = 30.0):
         """Run ``coro`` on the transport loop; return its result."""
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout)
-
-    def connect(self, host: str, port: int, timeout: float = 10.0) -> RtConnection:
-        """Open a framed-GIOP connection; connect failures are unexecuted."""
         try:
-            reader, writer = self.call(
-                asyncio.open_connection(host, port), timeout
+            return future.result(timeout)
+        except concurrent.futures.TimeoutError:
+            # The peer may still answer, so the stream cannot be reused
+            # (callers drop the connection) and nobody may be left
+            # waiting on it.  Unmarked: the request may have executed.
+            future.cancel()
+            raise COMM_FAILURE(f"no answer within {timeout}s") from None
+
+    # -- connections ------------------------------------------------------
+
+    def connection(self, logical_host: str) -> RtConnection:
+        """The cached connection to ``logical_host``, dialled on demand.
+
+        Failing to get one is a forward-leg failure: marked unexecuted.
+        """
+        connection = self._connections.get(logical_host)
+        if connection is None:
+            try:
+                host, port = self.addresses[logical_host]
+            except KeyError:
+                raise mark_unexecuted(
+                    COMM_FAILURE(f"no address registered for {logical_host!r}")
+                ) from None
+            try:
+                reader, writer = self.call(asyncio.open_connection(host, port), 10.0)
+            except (OSError, COMM_FAILURE) as error:
+                raise mark_unexecuted(
+                    COMM_FAILURE(f"cannot connect to {host}:{port}: {error}")
+                ) from None
+            COUNTERS.rt_connections += 1
+            connection = RtConnection(self, reader, writer)
+            self._connections[logical_host] = connection
+        return connection
+
+    def _drop(self, logical_host: str) -> None:
+        connection = self._connections.pop(logical_host, None)
+        if connection is not None:
+            connection.close()
+
+    # -- the seam ---------------------------------------------------------
+
+    def round_trip(
+        self,
+        dest_host: str,
+        wire: bytes,
+        depart_time: float,
+        reservations: Optional[Dict[int, float]] = None,
+    ) -> Tuple[bytes, float]:
+        try:
+            reply_wire = self.connection(dest_host).round_trip(wire)
+        except SystemException:
+            self._drop(dest_host)
+            raise
+        return reply_wire, self.clock.now()
+
+    def one_way(self, dest_host: str, wire: bytes, depart_time: float) -> None:
+        # The server answers every frame; reading the ack and
+        # discarding it keeps the stream aligned for the next call.
+        self.round_trip(dest_host, wire, depart_time)
+
+    def round_trip_many(
+        self, dest_host: str, legs: Sequence[Leg]
+    ) -> List[LegOutcome]:
+        # One stream carries the whole window, so a failure anywhere
+        # leaves every leg's fate unknown: they all fail with it.
+        try:
+            reply_wires = self.connection(dest_host).round_trip_many(
+                [wire for wire, _, _ in legs]
             )
-        except (ConnectionError, OSError) as error:
-            raise mark_unexecuted(
-                COMM_FAILURE(f"cannot connect to {host}:{port}: {error}")
-            ) from None
-        COUNTERS.rt_connections += 1
-        return RtConnection(self, reader, writer)
+        except SystemException as error:
+            self._drop(dest_host)
+            return [(None, error, self.clock.now())] * len(legs)
+        now = self.clock.now()
+        return [(reply_wire, None, now) for reply_wire in reply_wires]
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
+        for logical_host in list(self._connections):
+            self._drop(logical_host)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=5.0)
         self._loop.close()

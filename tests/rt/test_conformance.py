@@ -24,6 +24,7 @@ from repro.rt.scenarios import (
     EchoScenario,
     FailoverScenario,
     WfqOverloadScenario,
+    WovenStackScenario,
 )
 
 
@@ -74,6 +75,17 @@ class TestScenarioOutcomes:
             # Each reliable call builds a fresh rotation, so it pays
             # the same single discovery retry — on both substrates.
             assert second["retries"] == 1
+
+    def test_woven_stack_serves_and_compresses_on_both_wires(self):
+        result = run_conformance(WovenStackScenario())
+        for run in (result["netsim"], result["rt"]):
+            store, fetch, size = run["records"]
+            assert store["ok"] and fetch["ok"] and size["value"] == 1
+            requests = run["wires"]["server"]["in"]
+            assert len(requests) == 3
+            assert all(wire.startswith(b"MQOS") for wire in requests)
+            # rle bit: the store request is smaller than its document.
+            assert len(requests[0]) < len(fetch["value"])
 
 
 class TestComparisonMachinery:

@@ -1,15 +1,25 @@
-"""RtServer/RtClient: the ORB over real sockets, in-process."""
+"""RtServer/RtClient: the ORB over real sockets, in-process.
+
+The transport's failure contract is pinned in ``test_transport_seam.py``.
+"""
 
 import pytest
 
-from repro.orb.exceptions import COMM_FAILURE, OVERLOAD, SystemException, is_unexecuted
+from repro.orb.exceptions import OVERLOAD, SystemException
 from repro.orb.ior import IIOPProfile, IOR
 from repro.orb.request import Request, reset_request_ids
+from repro.orb.stub import Stub
 from repro.perf.counters import COUNTERS
+from repro.reliability.mediator import ReliabilityMediator
 from repro.reliability.policy import ReliabilityPolicy
-from repro.rt.client import ReliableInvoker, RtClient
+from repro.rt.client import RtClient
 from repro.rt.scenarios import ConformanceEchoServant, SlowEchoServant
 from repro.rt.server import RtServer, make_rt_orb
+
+
+class _WhoAmI(Stub):
+    def whoami(self):
+        return self._call("whoami")
 
 
 @pytest.fixture(autouse=True)
@@ -71,35 +81,6 @@ class TestRoundTrips:
         assert COUNTERS.rt_bytes_in > 0
 
 
-class TestConnectionFailures:
-    def test_unknown_logical_host_is_unexecuted(self, served):
-        _, client, _ = served
-        ior = IOR("IDL:test/Echo:1.0", IIOPProfile("elsewhere", 683, "k"), [])
-        with pytest.raises(COMM_FAILURE) as excinfo:
-            client.invoke(Request(ior, "echo", ("hi",)))
-        assert is_unexecuted(excinfo.value)
-
-    def test_connection_refused_is_unexecuted(self):
-        import socket
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        dead = probe.getsockname()
-        probe.close()
-        with RtClient({"server": dead}) as client:
-            ior = IOR("IDL:test/Echo:1.0", IIOPProfile("server", 683, "k"), [])
-            with pytest.raises(COMM_FAILURE) as excinfo:
-                client.invoke(Request(ior, "echo", ("hi",)))
-            assert is_unexecuted(excinfo.value)
-
-    def test_server_stop_surfaces_comm_failure(self, served):
-        server, client, ior = served
-        assert client.invoke(Request(ior, "whoami", ())) == "wall"
-        server.stop()
-        with pytest.raises(COMM_FAILURE):
-            client.invoke(Request(ior, "whoami", ()))
-
-
 class TestWallClockQoS:
     def test_scheduler_sheds_and_hints_on_wall_time(self):
         orb = make_rt_orb("server")
@@ -118,7 +99,7 @@ class TestWallClockQoS:
                 assert all(
                     getattr(r.exception, "retry_after", None) for r in shed
                 )
-                assert client.backpressure.hints_observed >= len(shed)
+                assert client.orb.backpressure.hints_observed >= len(shed)
 
     def test_reliable_invoker_fails_over_to_live_replica(self):
         import socket
@@ -149,9 +130,14 @@ class TestWallClockQoS:
         )
         with RtServer(orb) as server:
             with RtClient({"s1": dead, "s2": server.address}) as client:
-                invoker = ReliableInvoker(
-                    client, group, policy=ReliabilityPolicy(max_retries=3)
-                )
-                assert invoker.call("whoami") == "replica-2"
-                assert invoker.failovers == 1
-                assert invoker.retries_used == 1
+                # The reliable invoker is the one the simulator uses: a
+                # stub on the client ORB with the mediator installed.
+                stub = _WhoAmI(client.orb, group)
+                mediator = ReliabilityMediator(ReliabilityPolicy(max_retries=3))
+                mediator.install(stub)
+                COUNTERS.reset()
+                assert stub.whoami() == "replica-2"
+                assert mediator.retries_used == 1
+                # One failover, counted once (a second client stack
+                # used to count it again on top of the rotation's own).
+                assert COUNTERS.rel_failovers == 1
