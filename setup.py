@@ -1,35 +1,3 @@
-"""Build script: pure Python by default, optional mypyc hot path.
-
-``pip install .`` installs the pure-Python package everywhere.  The
-flat CDR codec (:mod:`repro.orb._cdr_fast`) is written in the
-restricted style mypyc compiles well; ``pip install .[compiled]``
-pulls in mypy (which ships mypyc) so that a subsequent build with
-``REPRO_MYPYC=1`` compiles that one module to a C extension:
-
-    REPRO_MYPYC=1 pip install .[compiled]
-
-Every failure mode — mypy absent, mypyc errors, no C toolchain —
-falls back to the interpreted module: the build never *requires*
-compilation, and ``repro.orb.cdr.FAST_IMPL`` reports which form was
-imported at runtime.
-"""
-
-import os
-
 from setuptools import setup
 
-
-def _cdr_extensions():
-    if os.environ.get("REPRO_MYPYC", "0") != "1":
-        return []
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        return []  # extras not installed: pure-Python fallback
-    try:
-        return mypycify(["src/repro/orb/_cdr_fast.py"], opt_level="3")
-    except Exception:
-        return []  # compilation issues must never block installation
-
-
-setup(ext_modules=_cdr_extensions())
+setup()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.core.mediator import CHARACTERISTIC_CONTEXT, Mediator
+from repro.core.mediator import Mediator
 from repro.core.negotiation import (
     Agreement,
     CharacteristicSupport,
@@ -33,10 +33,10 @@ from repro.core.negotiation import (
     Range,
 )
 from repro.core.qos_skeleton import QoSImplementation
+from repro.orb.contexts import BINDING_CONTEXT, CHARACTERISTIC_CONTEXT, CLASS_CONTEXT
 from repro.orb.ior import IOR, QOS_TAG, TaggedComponent
 from repro.orb.modules.base import binding_key
 from repro.orb.stub import Stub
-from repro.sched.scheduler import BINDING_CONTEXT, CLASS_CONTEXT
 
 
 class BindingError(Exception):

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-#: Service-context key carrying the characteristic a request runs under.
-CHARACTERISTIC_CONTEXT = "maqs.characteristic"
+from repro.orb.contexts import CHARACTERISTIC_CONTEXT
 
 
 class Mediator:

@@ -17,7 +17,7 @@ them); shard placement, synchronization and process fan-out are
 swappable policy underneath.
 """
 
-from repro.netsim.parallel.kernel import ShardedKernel, last_shard_stats
+from repro.netsim.parallel.kernel import ShardedKernel
 from repro.netsim.parallel.messages import (
     CrossShardMessage,
     handler_ref,
@@ -35,6 +35,5 @@ __all__ = [
     "ShardedKernel",
     "TopologySpec",
     "handler_ref",
-    "last_shard_stats",
     "resolve_handler",
 ]

@@ -38,16 +38,7 @@ from repro.netsim.parallel.shard import (
     ShardRuntime,
 )
 
-__all__ = ["ShardedKernel", "last_shard_stats"]
-
-#: Stats of the most recent completed run, merged into
-#: :func:`repro.perf.snapshot` as ``kernel_shard_*``.
-_LAST_STATS: Dict[str, Any] = {}
-
-
-def last_shard_stats() -> Dict[str, Any]:
-    """Stats of the most recent :meth:`ShardedKernel.run` in this process."""
-    return dict(_LAST_STATS)
+__all__ = ["ShardedKernel"]
 
 
 def _as_ref(handler: Handler) -> str:
@@ -155,14 +146,10 @@ class ShardedKernel:
             raise KernelError("kernel already ran; build a new one")
         self._ran = True
         if self.serial:
-            fired = self._run_serial(until)
-        elif self.backend == "process":
-            fired = self._run_process(until)
-        else:
-            fired = self._run_inline(until)
-        global _LAST_STATS
-        _LAST_STATS = dict(self._stats)
-        return fired
+            return self._run_serial(until)
+        if self.backend == "process":
+            return self._run_process(until)
+        return self._run_inline(until)
 
     def _effective_mode(self) -> str:
         return "serial" if self.serial else self.backend
@@ -354,5 +341,5 @@ class ShardedKernel:
         return digest.hexdigest()
 
     def stats(self) -> Dict[str, Any]:
-        """Aggregated run stats (also published to ``kernel_shard_*``)."""
+        """Aggregated run stats (``kernel_shard_*`` in ``perf.snapshot(kernel=k)``)."""
         return dict(self._stats)

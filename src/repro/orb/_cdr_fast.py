@@ -8,13 +8,6 @@ common leaf tags (string, int64, double, boolean, octets) straight
 into the map/sequence loops, so a deep payload map costs no attribute
 load/store or bound-method call per element.
 
-The functions are written in the restricted style ``mypyc`` compiles
-well (module-level, fully annotated, no closures); ``pip install
-.[compiled]`` builds this one module to native code (see
-``setup.py``), and the plain interpreted module is the always-available
-fallback — the import site in :mod:`repro.orb.cdr` never requires the
-compiled form.
-
 Byte identity is a hard contract: a batched homogeneous run must
 produce the same bytes as the tag-per-element loop, and every read
 must reject malformed input with
@@ -32,9 +25,8 @@ from typing import Any, Dict, List, Tuple
 from repro.orb.exceptions import MARSHAL
 from repro.perf.counters import COUNTERS
 
-# Type tags for the `any` encoding, defined here once (module-level so
-# the compiled module reads its own ints) and re-exported by
-# repro.orb.cdr.
+# Type tags for the `any` encoding, defined here once and re-exported
+# by repro.orb.cdr.
 TAG_NULL = 0
 TAG_BOOLEAN = 1
 TAG_OCTET = 2

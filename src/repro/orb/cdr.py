@@ -20,7 +20,7 @@ benchmark, so the implementation is tuned):
   (strings, octet payloads handed to sub-decoders) never copy the
   underlying buffer more than the API forces them to;
 - the tagged ``any`` encoding lives in one place, the flat codec in
-  :mod:`repro.orb._cdr_fast` (optionally mypyc-compiled):
+  :mod:`repro.orb._cdr_fast`:
   :meth:`CDREncoder.write_any` / :meth:`CDRDecoder.read_any` delegate
   to it unconditionally.  Homogeneous sequences of floats/ints batch
   through one repeated ``struct`` format instead of n tagged writes;
@@ -54,12 +54,8 @@ from repro.orb._cdr_fast import (  # noqa: F401  (re-exported: the `any` type ta
 )
 from repro.orb.exceptions import MARSHAL
 
-#: "compiled" when the flat codec was built with mypyc, else "python".
-FAST_IMPL = (
-    "compiled"
-    if getattr(_cdr_fast, "__file__", "").endswith((".so", ".pyd"))
-    else "python"
-)
+#: A constant: frozen bench/worker.py:327 records it as ``cdr_impl``.
+FAST_IMPL = "python"
 
 # Precompiled primitive formats: struct.Struct skips the per-call
 # format-string parse and cache lookup that struct.pack pays.

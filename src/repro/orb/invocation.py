@@ -21,13 +21,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.orb.contexts import RETRY_AFTER_CONTEXT
 from repro.orb.exceptions import OVERLOAD, mark_unexecuted
 from repro.orb.request import Request
-
-#: Reply service-context key carrying the server's retry-after hint
-#: (mirrors :data:`repro.sched.scheduler.RETRY_AFTER_CONTEXT`; the
-#: literal is repeated so repro.orb stays import-independent of sched).
-_RETRY_AFTER_CONTEXT = "maqs.sched.retry_after"
 
 
 def absorb_reply(orb: "ORB", server_host: str, reply, now: float) -> None:  # noqa: F821
@@ -43,8 +39,8 @@ def absorb_reply(orb: "ORB", server_host: str, reply, now: float) -> None:  # no
     contexts = reply.service_contexts
     if contexts:
         orb.backpressure.observe_reply(server_host, contexts, now)
-        if reply.exception is not None and _RETRY_AFTER_CONTEXT in contexts:
-            reply.exception.retry_after = contexts[_RETRY_AFTER_CONTEXT]
+        if reply.exception is not None and RETRY_AFTER_CONTEXT in contexts:
+            reply.exception.retry_after = contexts[RETRY_AFTER_CONTEXT]
     # OVERLOAD is shed at admission, strictly before servant dispatch;
     # restore the pre-execution flag the wire format cannot carry so
     # reliability retry sees uniform semantics for local and decoded

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from repro.netsim.clock import SimClock
 from repro.orb import giop, invocation
 from repro.orb.ami import AMIEngine, ReplyFuture
+from repro.orb.backpressure import Backpressure
+from repro.orb.contexts import RETRY_AFTER_CONTEXT
 from repro.orb.dii import PseudoObject
 from repro.orb.exceptions import COMM_FAILURE, MARSHAL, SystemException, TRANSIENT
 from repro.orb.ior import IOR
@@ -26,6 +29,8 @@ from repro.orb.poa import POA
 from repro.orb.pool import WirePools
 from repro.orb.qos_transport import QoSTransport
 from repro.orb.request import Request, next_request_id
+from repro.orb.transport import NetsimTransport
+from repro.qidl.repository import GLOBAL_REPOSITORY
 
 
 class ORB:
@@ -51,20 +56,13 @@ class ORB:
         #: Deferred-invocation engine: reply futures and the pipelined
         #: channels of :mod:`repro.orb.ami`.
         self.ami = AMIEngine(self)
-        # Client-side record of server retry-after hints; lazy import
-        # keeps repro.orb free of a package-level repro.sched dependency.
-        from repro.sched.backpressure import Backpressure
-
+        #: Client-side record of server retry-after hints.
         self.backpressure = Backpressure()
-        # The transport seam: how this broker's outgoing bytes travel.
-        # Lazy import for the same downward-dependency reason as above
-        # (repro.rt builds on repro.orb).
-        from repro.rt.transport import NetsimTransport
-
+        #: The transport seam: how this broker's outgoing bytes travel.
         self.transport = NetsimTransport(self)
-        #: The Clock protocol instance QoS concerns tell time by; None
-        #: until first use, then a SimClock over the world's kernel
-        #: unless :meth:`use_time_source` installed something else.
+        #: The TimeSource QoS concerns tell time by; None until first
+        #: use, then a SimClock over the world's kernel unless
+        #: :meth:`use_time_source` installed something else.
         self._time_source = None
         self.requests_invoked = 0
         self.requests_received = 0
@@ -73,8 +71,6 @@ class ORB:
         #: this ORB receives ("in") or answers ("out") — wiretaps for
         #: tests and tracing, without monkey-patching.
         self._wire_observers = []
-        from repro.qidl.repository import GLOBAL_REPOSITORY
-
         self._initial_references: Dict[str, Any] = {
             "QoSTransport": self.qos_transport.pseudo_object(),
             "InterfaceRepository": GLOBAL_REPOSITORY,
@@ -92,23 +88,20 @@ class ORB:
 
     @property
     def time_source(self):
-        """The :class:`repro.rt.clock.Clock` this broker tells time by.
+        """The :class:`~repro.netsim.clock.TimeSource` this broker tells time by.
 
-        Defaults to a :class:`~repro.rt.clock.SimClock` over the
-        world's event kernel — identical ticks to the old direct
-        ``orb.clock`` arithmetic; the real-transport server installs a
-        :class:`~repro.rt.clock.MonotonicClock` instead.
+        Defaults to a :class:`~repro.netsim.clock.SimClock` over the
+        world's clock and event kernel; the sockets backend installs a
+        wall clock (:class:`repro.rt.clock.MonotonicClock`) from above.
         """
         source = self._time_source
         if source is None:
-            from repro.rt.clock import SimClock
-
             source = SimClock(self.clock, getattr(self.world, "kernel", None))
             self._time_source = source
         return source
 
     def use_time_source(self, clock) -> None:
-        """Install a different Clock implementation (rt server and client do)."""
+        """Install a different TimeSource (rt server and client do)."""
         self._time_source = clock
 
     def install_transport(self, transport) -> None:
@@ -149,8 +142,9 @@ class ORB:
         classes.  Idempotent per ORB — installing again replaces the
         scheduler wholesale.
         """
-        # Imported here (not at module scope): repro.sched builds on
-        # repro.orb, so the dependency must point downward only.
+        # The one upward import left in repro.orb (PENDING in
+        # tests/test_architecture.py): frozen bench/workloads.py calls
+        # this method, so the installer cannot move to repro.sched yet.
         from repro.sched.scheduler import RequestScheduler
 
         self.scheduler = RequestScheduler(self, policy=policy, **config)
@@ -202,7 +196,7 @@ class ORB:
         clock, which lets group modules model parallel fan-out.
         Transport failures surface as CORBA system exceptions, with
         forward-leg ones marked *unexecuted* (see the transport seam's
-        contract in :mod:`repro.rt.transport`).
+        contract in :mod:`repro.orb.transport`).
         """
         return self.transport.round_trip(dest_host, wire, depart_time, reservations)
 
@@ -305,7 +299,7 @@ class ORB:
             # can observe backpressure without parsing exception text.
             retry_after = getattr(error, "retry_after", None)
             if retry_after is not None:
-                reply_contexts = {"maqs.sched.retry_after": retry_after}
+                reply_contexts = {RETRY_AFTER_CONTEXT: retry_after}
 
         reply_wire = giop.encode_reply(
             request.request_id,

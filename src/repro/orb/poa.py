@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.orb.contexts import ARRIVAL_TIME_CONTEXT, START_TIME_CONTEXT
 from repro.orb.exceptions import OBJECT_NOT_EXIST
 from repro.orb.ior import IOR, IIOPProfile, TaggedComponent
 from repro.orb.request import Request
@@ -90,7 +91,7 @@ class POA:
         # QoS layer (what real ORBs give interceptors as timestamps) —
         # prologs use them e.g. for deadline admission control.
         contexts = dict(request.service_contexts)
-        contexts["maqs.arrival_time"] = at_time
+        contexts[ARRIVAL_TIME_CONTEXT] = at_time
         scheduler = self._orb.scheduler
         reply_contexts: Optional[Dict[str, Any]] = None
         if scheduler is not None:
@@ -98,11 +99,11 @@ class POA:
             # when the request is not admissible (the POA never sees
             # the servant in that case — shed before dispatch).
             grant = scheduler.admit(request, at_time, service_time)
-            contexts["maqs.start_time"] = grant.start
+            contexts[START_TIME_CONTEXT] = grant.start
             finish_time = grant.completion
             reply_contexts = grant.reply_contexts
         else:
-            contexts["maqs.start_time"] = max(at_time, host.busy_until)
+            contexts[START_TIME_CONTEXT] = max(at_time, host.busy_until)
             finish_time = host.occupy(at_time, service_time)
         result = servant._dispatch(request.operation, request.args, contexts)
         self.requests_dispatched += 1

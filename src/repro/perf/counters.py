@@ -289,9 +289,10 @@ def snapshot(
     :class:`repro.netsim.parallel.ShardedKernel`), its run stats merge
     in as ``kernel_shard_*``: events fired per shard, barrier count
     and per-shard barrier waits, the lookahead window and the
-    cross-shard message total.  Asking for a world's panel reports the
-    most recent completed sharded run in this process under the same
-    keys.
+    cross-shard message total.
+
+    Every panel is read off an object the caller passes in: this module
+    imports nothing from the layers it reports on.
     """
     merged = COUNTERS.snapshot()
     if orb is not None:
@@ -316,19 +317,9 @@ def snapshot(
         if control is not None:
             for key, value in control.stats().items():
                 merged[f"ctl_{key}"] = value
-    # Sharded-kernel panel: an explicit kernel wins; asking for a
-    # world's panel also reports the most recent completed sharded run
-    # in this process.  The bare ``snapshot()`` stays exactly the
-    # global counter panel.
-    shard_stats: Dict[str, Any] = {}
     if kernel is not None:
-        shard_stats = kernel.stats()
-    elif world is not None:
-        from repro.netsim.parallel.kernel import last_shard_stats
-
-        shard_stats = last_shard_stats()
-    for key, value in shard_stats.items():
-        merged[f"kernel_shard_{key}"] = value
+        for key, value in kernel.stats().items():
+            merged[f"kernel_shard_{key}"] = value
     return merged
 
 

@@ -14,7 +14,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.mediator import Mediator
 from repro.core.qos_skeleton import QoSImplementation
 from repro.orb.dii import DIIRequest
-from repro.orb.exceptions import BAD_PARAM, COMM_FAILURE, SystemException, TRANSIENT
+from repro.orb.exceptions import (
+    BAD_PARAM,
+    COMM_FAILURE,
+    OBJECT_NOT_EXIST,
+    SystemException,
+    TRANSIENT,
+)
 from repro.orb.ior import GROUP_TAG, IOR, QOS_TAG, TaggedComponent
 from repro.orb.modules.base import binding_key
 from repro.orb.modules.multicast import POLICIES
@@ -199,8 +205,8 @@ class ReplicaGroupManager:
         orb = self.world.orb(host_name)
         try:
             orb.poa.deactivate_object(member_ior.profile.object_key)
-        except Exception:
-            pass  # the host may be crashed; membership is what matters
+        except OBJECT_NOT_EXIST:
+            pass  # already deactivated; membership is what matters
         self._broadcast_membership()
 
     def _broadcast_membership(self) -> None:

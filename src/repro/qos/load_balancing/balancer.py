@@ -6,7 +6,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.mediator import CHARACTERISTIC_CONTEXT, Mediator
 from repro.core.qos_skeleton import QoSImplementation
-from repro.orb.exceptions import BAD_PARAM, COMM_FAILURE, SystemException, TRANSIENT
+from repro.orb.exceptions import (
+    BAD_PARAM,
+    COMM_FAILURE,
+    OBJECT_NOT_EXIST,
+    SystemException,
+    TRANSIENT,
+)
 from repro.orb.ior import IOR
 from repro.qos.load_balancing.policies import (
     Policy,
@@ -169,8 +175,8 @@ class WorkerPool:
         servant, ior = self._members.pop(host_name)
         try:
             self.world.orb(host_name).poa.deactivate_object(ior.profile.object_key)
-        except Exception:
-            pass
+        except OBJECT_NOT_EXIST:
+            pass  # already deactivated; membership is what matters
 
     def worker_iors(self) -> List[IOR]:
         return [ior for _, ior in self._members.values()]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.orb.contexts import DEADLINE_CONTEXT
 from repro.reliability.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.reliability.failover import FailoverRotation
 from repro.reliability.mediator import (
@@ -30,11 +31,7 @@ from repro.reliability.mediator import (
     ReliabilityMediator,
     ReliableReplyFuture,
 )
-from repro.reliability.policy import (
-    BREAKER_OPEN_MINOR,
-    DEADLINE_CONTEXT,
-    ReliabilityPolicy,
-)
+from repro.reliability.policy import BREAKER_OPEN_MINOR, ReliabilityPolicy
 from repro.reliability.retry import BackoffSchedule
 
 __all__ = [

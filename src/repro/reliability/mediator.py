@@ -5,7 +5,7 @@ The MAQS mediator is the designated client-side interception point
 transport failures into recovery:
 
 - **deadlines** — each call gets an absolute simulated-time budget,
-  propagated in the :data:`~repro.reliability.policy.DEADLINE_CONTEXT`
+  propagated in the :data:`~repro.orb.contexts.DEADLINE_CONTEXT`
   service context so the server's scheduler sheds work the caller will
   no longer wait for; local expiry raises
   :class:`~repro.orb.exceptions.TIMEOUT`.
@@ -14,7 +14,7 @@ transport failures into recovery:
   simulated time per the seeded
   :class:`~repro.reliability.retry.BackoffSchedule` merged with the
   server's retry-after hints via
-  :meth:`~repro.sched.backpressure.Backpressure.retry_delay`.
+  :meth:`~repro.orb.backpressure.Backpressure.retry_delay`.
 - **circuit breaking** — a per-binding
   :class:`~repro.reliability.breaker.CircuitBreaker` fast-fails calls
   to a binding that keeps dying, with half-open probes.
@@ -37,6 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.mediator import Mediator
 from repro.orb import giop
 from repro.orb.ami import ReplyFuture
+from repro.orb.contexts import DEADLINE_CONTEXT
 from repro.orb.exceptions import (
     COMM_FAILURE,
     OVERLOAD,
@@ -50,11 +51,7 @@ from repro.orb.ior import IOR
 from repro.perf.counters import COUNTERS
 from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.failover import FailoverRotation
-from repro.reliability.policy import (
-    BREAKER_OPEN_MINOR,
-    DEADLINE_CONTEXT,
-    ReliabilityPolicy,
-)
+from repro.reliability.policy import BREAKER_OPEN_MINOR, ReliabilityPolicy
 from repro.reliability.retry import BackoffSchedule
 
 #: Errors that may be worth re-issuing at all (OVERLOAD is a TRANSIENT

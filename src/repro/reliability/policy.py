@@ -19,12 +19,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-#: Service-context key carrying the call's *absolute* simulated-time
-#: deadline.  The server's scheduler reads it (see
-#: :data:`repro.sched.scheduler.DEADLINE_CONTEXT` — the literal is
-#: repeated there so repro.sched never imports upward) and sheds
-#: requests whose caller will have timed out before completion.
-DEADLINE_CONTEXT = "maqs.reliability.deadline"
 
 #: TRANSIENT minor code of a circuit-breaker fast-fail.
 BREAKER_OPEN_MINOR = 0x0B0

@@ -2,7 +2,7 @@
 
 A sockets client is not a second invocation path.  It is the ORB every
 netsim host runs, with :class:`~repro.rt.transport.AsyncioTransport`
-installed where :class:`~repro.rt.transport.NetsimTransport` was and a
+installed where :class:`~repro.orb.transport.NetsimTransport` was and a
 wall clock as its time source — so stubs, mediator chains, QoS modules
 and AMI windows bound to :attr:`RtClient.orb` run unchanged, and the
 bytes they produce are the ones the simulator carries (the conformance
@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.netsim.clock import TimeSource
 from repro.orb.giop import Reply
 from repro.orb.ior import IOR
 from repro.orb.request import Request, command as make_command
-from repro.rt.clock import Clock, MonotonicClock
+from repro.rt.clock import MonotonicClock
 from repro.rt.server import make_rt_orb
 from repro.rt.transport import AsyncioTransport, RtConnection
 
@@ -29,7 +30,7 @@ class RtClient:
     def __init__(
         self,
         addresses: Optional[Dict[str, Tuple[str, int]]] = None,
-        clock: Optional[Clock] = None,
+        clock: Optional[TimeSource] = None,
     ) -> None:
         clock = clock if clock is not None else MonotonicClock()
         self.transport = AsyncioTransport(addresses, clock)

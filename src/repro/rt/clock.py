@@ -1,13 +1,9 @@
-"""The Clock protocol: one time interface, simulated or wall.
+"""Wall-clock time behind the :class:`~repro.netsim.clock.TimeSource` protocol.
 
-Deadline shedding, retry backoff, breaker half-open probes and pacing
-all need three verbs — *what time is it*, *wait this long*, *run this
-later* — and none of them cares whether the seconds are simulated or
-real.  This module names that contract.  The ORB exposes an instance
-as ``orb.time_source``; under netsim it is a :class:`SimClock` over
-the event kernel (so every existing test sees bit-identical timing),
-while the real-transport server swaps in a :class:`MonotonicClock`
-and the very same QoS code runs on wall-clock time.
+The sockets backend installs a :class:`MonotonicClock` on its ORBs
+(``ORB.use_time_source``) and on :class:`~repro.rt.transport.AsyncioTransport`;
+this is the only module under ``src/repro`` that reads or sleeps on
+the host's clock (``tests/test_architecture.py`` pins that).
 """
 
 from __future__ import annotations
@@ -16,64 +12,7 @@ import threading
 import time
 from typing import Any, Callable, Optional
 
-
-class Clock:
-    """Protocol: the time surface QoS concerns are allowed to touch."""
-
-    def now(self) -> float:
-        """Current time in seconds (origin is implementation-defined)."""
-        raise NotImplementedError
-
-    def wait(self, seconds: float) -> float:
-        """Block the caller for ``seconds``; returns the new now()."""
-        raise NotImplementedError
-
-    def wait_until(self, instant: float) -> float:
-        """Block until ``instant`` (no-op if already past); returns now()."""
-        raise NotImplementedError
-
-    def schedule_after(self, delay: float, fn: Callable[..., Any], *args: Any):
-        """Run ``fn(*args)`` after ``delay`` seconds; returns a cancellable."""
-        raise NotImplementedError
-
-
-class SimClock(Clock):
-    """The existing discrete-event kernel behind the Clock protocol.
-
-    ``wait``/``wait_until`` advance simulated time exactly like the
-    old direct ``clock.advance``/``advance_to`` calls did, so every
-    deterministic trace is preserved to the tick.
-    """
-
-    __slots__ = ("_clock", "_kernel")
-
-    def __init__(self, clock: Any = None, kernel: Any = None) -> None:
-        if clock is None:
-            if kernel is None:
-                raise ValueError("SimClock needs a netsim clock or a kernel")
-            clock = kernel.clock
-        self._clock = clock
-        self._kernel = kernel
-
-    def now(self) -> float:
-        return self._clock.now
-
-    def wait(self, seconds: float) -> float:
-        if seconds > 0.0:
-            self._clock.advance(seconds)
-        return self._clock.now
-
-    def wait_until(self, instant: float) -> float:
-        self._clock.advance_to(instant)
-        return self._clock.now
-
-    def schedule_after(self, delay: float, fn: Callable[..., Any], *args: Any):
-        if self._kernel is None:
-            raise RuntimeError("this SimClock has no event kernel to schedule on")
-        return self._kernel.schedule(delay, fn, *args)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._clock.now:.6f})"
+from repro.netsim.clock import TimeSource
 
 
 class _TimerHandle:
@@ -88,7 +27,7 @@ class _TimerHandle:
         self._timer.cancel()
 
 
-class MonotonicClock(Clock):
+class MonotonicClock(TimeSource):
     """Wall-clock time, origin-shifted so a fresh clock starts near 0.
 
     Built on ``time.monotonic`` (immune to NTP steps); ``wait`` really

@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from repro.orb import giop, ior as ior_mod
 from repro.orb.ami import ReplyFuture
+from repro.orb.contexts import RETRY_AFTER_CONTEXT
 from repro.orb.exceptions import SystemException, is_unexecuted
 from repro.orb.ior import IOR
 from repro.orb.orb import ORB
@@ -39,7 +40,6 @@ from repro.reliability.policy import ReliabilityPolicy
 from repro.rt.client import RtClient
 from repro.rt.scenarios import Scenario
 from repro.rt.server import RtServer, make_rt_orb
-from repro.sched.scheduler import RETRY_AFTER_CONTEXT
 
 
 def _record(op: str, fn: Callable[[], Any], hint: bool = False) -> dict:

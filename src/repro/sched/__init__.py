@@ -5,7 +5,7 @@ for the subsystem overview and ``DESIGN.md`` ("Request scheduling &
 admission control") for where it sits on Figure 3's dispatch path.
 """
 
-from repro.sched.backpressure import Backpressure, PacingMediator
+from repro.sched.backpressure import PacingMediator
 from repro.sched.policies import (
     POLICIES,
     FIFOPolicy,
@@ -31,7 +31,6 @@ from repro.sched.token_bucket import TokenBucket
 
 __all__ = [
     "BINDING_CONTEXT",
-    "Backpressure",
     "CLASS_CONTEXT",
     "CONTROL_CLASS",
     "DEFAULT_CLASS",

@@ -1,84 +1,17 @@
-"""Client-side backpressure: observing the server's retry-after hints.
+"""Pacing: a mediator that honours the server's retry-after hints.
 
-The scheduler piggybacks a ``maqs.sched.retry_after`` service context
-on replies once its queue passes the backpressure watermark, and on
-every OVERLOAD rejection.  The invocation path feeds those hints into
-the client ORB's :class:`Backpressure` tracker; mediators (the MAQS
-client-side QoS weaving point) consult it to degrade gracefully —
-:class:`PacingMediator` simply waits the suggested delay out in
-simulated time before issuing.
+The client ORB records the scheduler's hints in its
+:class:`repro.orb.backpressure.Backpressure` tracker; mediators (the
+MAQS client-side QoS weaving point) consult it to degrade gracefully —
+:class:`PacingMediator` simply waits the suggested delay out on the
+ORB's time source before issuing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Tuple
 
 from repro.core.mediator import Mediator
-
-
-class Backpressure:
-    """Per-destination-host retry-after bookkeeping on one client ORB."""
-
-    __slots__ = ("_hints", "hints_observed")
-
-    def __init__(self) -> None:
-        #: host -> (simulated instant until which to hold off).
-        self._hints: Dict[str, float] = {}
-        self.hints_observed = 0
-
-    def note(self, host: str, retry_after: float, now: float) -> None:
-        """Record a hint received from ``host`` at ``now``."""
-        if retry_after <= 0.0:
-            return
-        until = now + retry_after
-        if until > self._hints.get(host, 0.0):
-            self._hints[host] = until
-        self.hints_observed += 1
-
-    def observe_reply(
-        self, host: str, service_contexts: Optional[Dict[str, Any]], now: float
-    ) -> None:
-        """Harvest the scheduler's hint from a reply's service contexts."""
-        if not service_contexts:
-            return
-        from repro.sched.scheduler import RETRY_AFTER_CONTEXT
-
-        hint = service_contexts.get(RETRY_AFTER_CONTEXT)
-        if hint is not None:
-            self.note(host, float(hint), now)
-
-    def retry_delay(
-        self, host: str, error: Any, now: float, floor: float = 0.0
-    ) -> float:
-        """Seconds to hold off before *retrying* ``host`` after ``error``.
-
-        Merges every hint available: the tracked per-host retry-after
-        state, a ``retry_after`` the failed reply carried directly
-        (recorded here too, so later calls see it), and the retry
-        policy's backoff ``floor``.  The reliability layer's retry loop
-        calls this so its exponential backoff never undercuts the
-        server's own advertised recovery time.
-        """
-        direct = getattr(error, "retry_after", None)
-        if direct is not None:
-            self.note(host, float(direct), now)
-        return max(floor, self.suggested_delay(host, now))
-
-    def suggested_delay(self, host: str, now: float) -> float:
-        """Seconds a polite client should wait before calling ``host``."""
-        until = self._hints.get(host)
-        if until is None:
-            return 0.0
-        if until <= now:
-            del self._hints[host]
-            return 0.0
-        return until - now
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"hints_observed": self.hints_observed, "active": dict(self._hints)}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Backpressure(active={len(self._hints)})"
 
 
 class PacingMediator(Mediator):

@@ -31,25 +31,19 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.core.mediator import CHARACTERISTIC_CONTEXT
 from repro.netsim.network import WorkLedger
+from repro.orb.contexts import (
+    BINDING_CONTEXT,
+    CHARACTERISTIC_CONTEXT,
+    CLASS_CONTEXT,
+    DEADLINE_CONTEXT,
+    RETRY_AFTER_CONTEXT,
+)
 from repro.orb.exceptions import NO_RESOURCES, OVERLOAD
 from repro.orb.request import Request
 from repro.perf.counters import COUNTERS
 from repro.sched.policies import SchedulerPolicy, create_policy
 from repro.sched.token_bucket import TokenBucket
-
-#: Service-context keys of the scheduling plane.
-CLASS_CONTEXT = "maqs.sched.class"
-BINDING_CONTEXT = "maqs.sched.binding"
-RETRY_AFTER_CONTEXT = "maqs.sched.retry_after"
-
-#: Absolute (simulated-instant) deadline of the *call*, set by the
-#: client's reliability layer (mirrors
-#: :data:`repro.reliability.policy.DEADLINE_CONTEXT`; the literal is
-#: repeated so repro.sched never imports upward).  Lets the scheduler
-#: shed work whose caller will have timed out before completion.
-DEADLINE_CONTEXT = "maqs.reliability.deadline"
 
 #: OVERLOAD minor codes.
 OVERLOAD_QUEUE = 1

@@ -10,7 +10,6 @@ from repro.netsim.parallel import (
     ShardedKernel,
     TopologySpec,
     handler_ref,
-    last_shard_stats,
 )
 from repro.netsim.parallel.plan import LinkSpec
 from repro.perf import snapshot
@@ -259,23 +258,3 @@ class TestShardStatsPanel:
         assert panel["kernel_shard_barriers"] > 0
         assert panel["kernel_shard_cross_messages"] > 0
         assert len(panel["kernel_shard_events_per_shard"]) == 4
-
-    def test_last_run_reported_with_world_panel(self):
-        from repro.orb import World
-
-        topo = small_topology()
-        _, fired = run_soak(topo, 2)
-        world = World()
-        world.lan(["client", "server"], latency=0.001)
-        panel = snapshot(world=world)
-        # The ambient (most recent run) shard panel rides along with
-        # the world's kernel_*/net_* panels.
-        assert panel["kernel_shard_events_fired"] == fired
-        assert "kernel_events_fired" in panel
-
-    def test_last_shard_stats_tracks_most_recent_run(self):
-        topo = small_topology()
-        kernel, fired = run_soak(topo, 2)
-        ambient = last_shard_stats()
-        assert ambient["events_fired"] == fired
-        assert ambient["shards"] == 2

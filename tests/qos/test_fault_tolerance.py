@@ -50,6 +50,21 @@ class TestMembership:
         impl = manager.replica("a").qos_impl("FaultTolerance")
         assert impl.replicas == 2
 
+    def test_remove_tolerates_only_an_already_deactivated_key(self, group3, monkeypatch):
+        manager, _ = group3
+        key = manager.member_ior("b").profile.object_key
+        manager.world.orb("b").poa.deactivate_object(key)
+        manager.remove_replica("b")
+        assert manager.hosts() == ["a", "c"]
+        assert manager.replica("a").qos_impl("FaultTolerance").replicas == 2
+
+        def broken(object_key):
+            raise RuntimeError("object map corrupted")
+
+        monkeypatch.setattr(manager.world.orb("c").poa, "deactivate_object", broken)
+        with pytest.raises(RuntimeError, match="object map corrupted"):
+            manager.remove_replica("c")
+
     def test_remove_unknown_rejected(self, manager):
         with pytest.raises(ValueError):
             manager.remove_replica("z")

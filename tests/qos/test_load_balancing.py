@@ -174,6 +174,20 @@ class TestWorkerPool:
         pool.remove_worker("a")
         assert pool.hosts() == ["b", "c"]
 
+    def test_remove_tolerates_only_an_already_deactivated_key(
+        self, world, pool, monkeypatch
+    ):
+        world.orb("a").poa.deactivate_object("workers-a")
+        pool.remove_worker("a")
+        assert pool.hosts() == ["b", "c"]
+
+        def broken(object_key):
+            raise RuntimeError("object map corrupted")
+
+        monkeypatch.setattr(world.orb("b").poa, "deactivate_object", broken)
+        with pytest.raises(RuntimeError, match="object map corrupted"):
+            pool.remove_worker("b")
+
     def test_queueing_makes_balancing_matter(self, world, gen, pool):
         # One unbalanced worker vs. three balanced: same 12 calls.
         stub = gen.CounterStub(world.orb("client"), pool.worker_iors()[0])

@@ -1,12 +1,13 @@
-"""The Clock protocol: simulated and wall-clock implementations."""
+"""The TimeSource protocol: simulated and wall-clock implementations."""
 
 import threading
 import time
 
 import pytest
 
+from repro.netsim.clock import SimClock
 from repro.orb.world import World
-from repro.rt.clock import MonotonicClock, SimClock
+from repro.rt.clock import MonotonicClock
 
 
 class TestSimClock:

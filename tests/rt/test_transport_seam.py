@@ -19,11 +19,12 @@ from repro.orb.exceptions import (
 from repro.orb.ior import IIOPProfile, IOR
 from repro.orb.request import Request
 from repro.orb.servant import Servant
+from repro.orb.transport import NetsimTransport, Transport
 from repro.orb.world import World
 from repro.rt.client import RtClient
 from repro.rt.conformance import _dead_address
 from repro.rt.server import RtServer, make_rt_orb
-from repro.rt.transport import AsyncioTransport, NetsimTransport, Transport
+from repro.rt.transport import AsyncioTransport
 
 
 class _Echo(Servant):
