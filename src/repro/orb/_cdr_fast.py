@@ -46,6 +46,7 @@ TAG_BIGNUM = 14
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
+#: Padding runs indexed by length (alignment never needs more than 7).
 _PADDING = tuple(b"\x00" * n for n in range(8))
 
 # Fused tag-plus-padding blobs, indexed by the buffer position (mod
@@ -75,6 +76,11 @@ _DBL_FUSE = tuple(
 #: identical at any chunking; the cache keys are what stay bounded).
 _BATCH_CHUNK = 512
 
+# The CDR primitive formats, compiled once: struct.Struct skips the
+# per-call format parse and cache lookup struct.pack pays.  This table,
+# _PADDING and the string/octets readers below are the only copy;
+# repro.orb.cdr and repro.orb.giop import them.
+_S_OCTET = struct.Struct(">B")
 _S_SHORT = struct.Struct(">h")
 _S_USHORT = struct.Struct(">H")
 _S_LONG = struct.Struct(">i")

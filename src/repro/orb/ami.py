@@ -11,11 +11,10 @@ This module adds that layer on the client side:
   the equivalence byte-for-byte and clock-tick-for-clock-tick.
 - :class:`PipelinedChannel` — one client-side pipeline per
   (module, destination) binding.  Deferred requests are encoded
-  immediately (recycling :class:`~repro.orb.pool.WirePools` buffers)
-  and queued; ``flush()`` hands the whole window to the transport
-  (``round_trip_many``), so N requests pay the client's serialized
-  marshal work plus ~one RTT plus the server's serialized service
-  time — instead of the synchronous path's N full round trips.
+  immediately and queued; ``flush()`` hands the whole window to the
+  transport (``round_trip_many``), so N requests pay the client's
+  serialized marshal work plus ~one RTT plus the server's serialized
+  service time — instead of the synchronous path's N full round trips.
 - :class:`AMIEngine` — the per-ORB owner of the channels, the
   in-flight accounting and the auto-flush window.
 
@@ -39,9 +38,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.orb import giop
-from repro.orb.exceptions import MARSHAL, SystemException
+from repro.orb.exceptions import SystemException
 from repro.orb.invocation import absorb_reply
-from repro.orb.modules.base import decode_envelope, encode_envelope, is_envelope
+from repro.orb.modules.base import encode_envelope
 from repro.orb.request import Request
 from repro.perf.counters import COUNTERS
 
@@ -246,12 +245,12 @@ class PipelinedChannel:
     def enqueue(self, request: Request, future: ReplyFuture) -> ReplyFuture:
         """Encode ``request`` now and queue it for the next flush.
 
-        Encoding happens at enqueue time because the request object is
-        call-scoped (it returns to the ORB's pools when the stub call
-        unwinds); everything the flush needs is snapshotted here.
+        Encoding happens at enqueue time so a caller (or mediator)
+        that mutates the request afterwards cannot change what was
+        issued; everything the flush needs is snapshotted here.
         """
         module = self.module
-        body = giop.encode_request(request, pools=self.orb.pools)
+        body = giop.encode_request(request)
         self._queue.append(
             _QueuedCall(
                 body,
@@ -320,7 +319,6 @@ class PipelinedChannel:
         # first: process replies in completion order and let the
         # correlation map route each to its future.
         arrivals.sort()
-        reply_state: Any = None
         highest_index = -1
         for finish, index, reply_wire in arrivals:
             if index < highest_index:
@@ -328,22 +326,14 @@ class PipelinedChannel:
             else:
                 highest_index = index
             future = items[index].future
-            if is_envelope(reply_wire):
-                envelope_name, params, payload = decode_envelope(reply_wire)
-                if envelope_name != module.name:
-                    self._fail(
-                        future,
-                        MARSHAL(
-                            f"reply wrapped by {envelope_name!r}, "
-                            f"expected {module.name!r}"
-                        ),
-                        finish,
-                    )
-                    continue
-                if reply_state is None:
-                    reply_state = module._unwrap_prolog(params)
-                reply_wire, cpu = module._unwrap_one(params, payload, reply_state)
-                finish += cpu
+            try:
+                reply_wire, cpu = module.open_reply(reply_wire)
+            except SystemException as error:
+                # Wrapped by the wrong module, or not invertible here:
+                # this future fails, the rest of the window goes on.
+                self._fail(future, error, finish)
+                continue
+            finish += cpu
             finish += marshal_cost(len(reply_wire))
             reply = giop.decode_reply(reply_wire)
             # Correlate by request id; replies the server could not
@@ -398,8 +388,7 @@ class AMIEngine:
         """The pipeline carrying ``target``'s requests through ``module``.
 
         Envelope modules batch per *binding* (their wrap context is
-        binding-scoped, mirroring ``send_pipeline``); plain transports
-        batch per destination host.
+        binding-scoped); plain transports batch per destination host.
         """
         if module.uses_envelope:
             key = (module.name, target.binding_key())

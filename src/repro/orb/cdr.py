@@ -13,9 +13,10 @@ around.
 Hot-path layout (this module is the single biggest cost in every
 benchmark, so the implementation is tuned):
 
-- the encoder appends into one ``bytearray`` through module-level
-  precompiled :class:`struct.Struct` instances — no chunk list, no
-  per-call format parsing, one ``bytes()`` copy at :meth:`getvalue`;
+- the encoder appends into one ``bytearray`` through the precompiled
+  :class:`struct.Struct` table of :mod:`repro.orb._cdr_fast` (the one
+  copy of the primitive formats) — no chunk list, no per-call format
+  parsing, one ``bytes()`` copy at :meth:`getvalue`;
 - the decoder reads through a ``memoryview``, so nested decodes
   (strings, octet payloads handed to sub-decoders) never copy the
   underlying buffer more than the API forces them to;
@@ -51,25 +52,22 @@ from repro.orb._cdr_fast import (  # noqa: F401  (re-exported: the `any` type ta
     TAG_STRING,
     TAG_ULONG,
     TAG_USHORT,
+    _PADDING,
+    _S_DOUBLE,
+    _S_FLOAT,
+    _S_LONG,
+    _S_LONGLONG,
+    _S_OCTET,
+    _S_SHORT,
+    _S_ULONG,
+    _S_USHORT,
+    _read_octets,
+    _read_string,
 )
 from repro.orb.exceptions import MARSHAL
 
 #: A constant: frozen bench/worker.py:327 records it as ``cdr_impl``.
 FAST_IMPL = "python"
-
-# Precompiled primitive formats: struct.Struct skips the per-call
-# format-string parse and cache lookup that struct.pack pays.
-_S_OCTET = struct.Struct(">B")
-_S_SHORT = struct.Struct(">h")
-_S_USHORT = struct.Struct(">H")
-_S_LONG = struct.Struct(">i")
-_S_ULONG = struct.Struct(">I")
-_S_LONGLONG = struct.Struct(">q")
-_S_FLOAT = struct.Struct(">f")
-_S_DOUBLE = struct.Struct(">d")
-
-#: Padding runs indexed by length (alignment never needs more than 7).
-_PADDING = tuple(b"\x00" * n for n in range(8))
 
 #: Minimum sequence length for the homogeneous batch fast path; below
 #: this the type scan costs more than it saves.
@@ -85,15 +83,6 @@ class CDREncoder:
         self._buf = bytearray()
 
     # -- low-level ------------------------------------------------------
-
-    def reset(self) -> "CDREncoder":
-        """Clear the buffer for reuse, keeping its allocated capacity.
-
-        The per-ORB wire pools recycle encoders through this instead of
-        allocating a fresh ``bytearray`` per message.
-        """
-        del self._buf[:]
-        return self
 
     def write_raw(self, data: bytes) -> None:
         """Append pre-encoded bytes verbatim (no alignment).
@@ -114,84 +103,45 @@ class CDREncoder:
 
     # -- primitives -----------------------------------------------------
 
-    def write_octet(self, value: int) -> None:
+    def _write_fixed(self, compiled: struct.Struct, value: Any) -> None:
+        """Pad to the primitive's natural alignment (its size), pack it."""
+        buf = self._buf
+        padding = -len(buf) % compiled.size
+        if padding:
+            buf += _PADDING[padding]
         try:
-            self._buf += _S_OCTET.pack(value)
+            buf += compiled.pack(value)
         except (struct.error, TypeError) as error:
-            raise MARSHAL(f"cannot pack {value!r} as '>B': {error}") from None
+            raise MARSHAL(
+                f"cannot pack {value!r} as {compiled.format!r}: {error}"
+            ) from None
+
+    def write_octet(self, value: int) -> None:
+        self._write_fixed(_S_OCTET, value)
 
     def write_boolean(self, value: bool) -> None:
         self._buf.append(1 if value else 0)
 
     def write_short(self, value: int) -> None:
-        buf = self._buf
-        padding = -len(buf) % 2
-        if padding:
-            buf += b"\x00"
-        try:
-            buf += _S_SHORT.pack(value)
-        except (struct.error, TypeError) as error:
-            raise MARSHAL(f"cannot pack {value!r} as '>h': {error}") from None
+        self._write_fixed(_S_SHORT, value)
 
     def write_ushort(self, value: int) -> None:
-        buf = self._buf
-        padding = -len(buf) % 2
-        if padding:
-            buf += b"\x00"
-        try:
-            buf += _S_USHORT.pack(value)
-        except (struct.error, TypeError) as error:
-            raise MARSHAL(f"cannot pack {value!r} as '>H': {error}") from None
+        self._write_fixed(_S_USHORT, value)
 
     def write_long(self, value: int) -> None:
-        buf = self._buf
-        padding = -len(buf) % 4
-        if padding:
-            buf += _PADDING[padding]
-        try:
-            buf += _S_LONG.pack(value)
-        except (struct.error, TypeError) as error:
-            raise MARSHAL(f"cannot pack {value!r} as '>i': {error}") from None
+        self._write_fixed(_S_LONG, value)
 
     def write_ulong(self, value: int) -> None:
-        buf = self._buf
-        padding = -len(buf) % 4
-        if padding:
-            buf += _PADDING[padding]
-        try:
-            buf += _S_ULONG.pack(value)
-        except (struct.error, TypeError) as error:
-            raise MARSHAL(f"cannot pack {value!r} as '>I': {error}") from None
+        self._write_fixed(_S_ULONG, value)
 
     def write_longlong(self, value: int) -> None:
-        buf = self._buf
-        padding = -len(buf) % 8
-        if padding:
-            buf += _PADDING[padding]
-        try:
-            buf += _S_LONGLONG.pack(value)
-        except (struct.error, TypeError) as error:
-            raise MARSHAL(f"cannot pack {value!r} as '>q': {error}") from None
+        self._write_fixed(_S_LONGLONG, value)
 
     def write_float(self, value: float) -> None:
-        buf = self._buf
-        padding = -len(buf) % 4
-        if padding:
-            buf += _PADDING[padding]
-        try:
-            buf += _S_FLOAT.pack(value)
-        except (struct.error, TypeError) as error:
-            raise MARSHAL(f"cannot pack {value!r} as '>f': {error}") from None
+        self._write_fixed(_S_FLOAT, value)
 
     def write_double(self, value: float) -> None:
-        buf = self._buf
-        padding = -len(buf) % 8
-        if padding:
-            buf += _PADDING[padding]
-        try:
-            buf += _S_DOUBLE.pack(value)
-        except (struct.error, TypeError) as error:
-            raise MARSHAL(f"cannot pack {value!r} as '>d': {error}") from None
+        self._write_fixed(_S_DOUBLE, value)
 
     def write_string(self, value: str) -> None:
         if not isinstance(value, str):
@@ -260,9 +210,10 @@ class CDRDecoder:
             f"have {self._len - offset}"
         )
 
-    def _unpack(self, compiled: struct.Struct, alignment: int) -> Any:
+    def _unpack(self, compiled: struct.Struct) -> Any:
+        """Skip to the primitive's natural alignment (its size), read it."""
         offset = self._offset
-        offset += -offset % alignment
+        offset += -offset % compiled.size
         end = offset + compiled.size
         if end > self._len:
             self._offset = offset
@@ -292,13 +243,13 @@ class CDRDecoder:
         return bool(self.read_octet())
 
     def read_short(self) -> int:
-        return self._unpack(_S_SHORT, 2)
+        return self._unpack(_S_SHORT)
 
     def read_ushort(self) -> int:
-        return self._unpack(_S_USHORT, 2)
+        return self._unpack(_S_USHORT)
 
     def read_long(self) -> int:
-        return self._unpack(_S_LONG, 4)
+        return self._unpack(_S_LONG)
 
     def read_ulong(self) -> int:
         # Inlined _unpack: sequence counts and length prefixes make this
@@ -313,54 +264,21 @@ class CDRDecoder:
         return _S_ULONG.unpack_from(self._mv, offset)[0]
 
     def read_longlong(self) -> int:
-        return self._unpack(_S_LONGLONG, 8)
+        return self._unpack(_S_LONGLONG)
 
     def read_float(self) -> float:
-        return self._unpack(_S_FLOAT, 4)
+        return self._unpack(_S_FLOAT)
 
     def read_double(self) -> float:
-        return self._unpack(_S_DOUBLE, 8)
+        return self._unpack(_S_DOUBLE)
 
     def read_string(self) -> str:
-        mv = self._mv
-        size = self._len
-        offset = self._offset
-        offset += -offset & 3
-        end = offset + 4
-        if end > size:
-            self._offset = offset
-            raise self._underrun(4, offset)
-        length = _S_ULONG.unpack_from(mv, offset)[0]
-        offset = end
-        end = offset + length
-        if end > size:
-            self._offset = offset
-            raise MARSHAL(f"string of length {length} overruns buffer")
-        try:
-            value = str(mv[offset:end], "utf-8")
-        except UnicodeDecodeError as error:
-            self._offset = offset
-            raise MARSHAL(f"invalid UTF-8 string on the wire: {error}") from None
-        self._offset = end
+        value, self._offset = _read_string(self._mv, self._offset, self._len)
         return value
 
     def read_octets(self) -> bytes:
-        mv = self._mv
-        size = self._len
-        offset = self._offset
-        offset += -offset & 3
-        end = offset + 4
-        if end > size:
-            self._offset = offset
-            raise self._underrun(4, offset)
-        length = _S_ULONG.unpack_from(mv, offset)[0]
-        offset = end
-        end = offset + length
-        if end > size:
-            self._offset = offset
-            raise MARSHAL(f"octet sequence of length {length} overruns buffer")
-        self._offset = end
-        return bytes(mv[offset:end])
+        value, self._offset = _read_octets(self._mv, self._offset, self._len)
+        return value
 
     # -- any --------------------------------------------------------------
 

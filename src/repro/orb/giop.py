@@ -12,16 +12,22 @@ Hot-path machinery (the encodings themselves are unchanged):
 - service contexts — usually empty or identical call after call — are
   encoded once per (alignment, content) and replayed from a bounded
   LRU instead of being re-encoded per message;
-- when :data:`repro.perf.COUNTERS` is enabled, request/reply encode
-  and decode record nanoseconds and byte counts.
+- the spans of a message that repeat call after call (preamble,
+  argument list, result) replay from exact-match LRUs.  Each cache
+  below names the ``bench/`` workload that pays when it is ablated
+  (``op_us_p50``, change -> ablated); the whole table, with the runs,
+  is in DESIGN.md "The flat codec and the payload span caches".
+
+The codec does not time itself: ``bench/spans.py`` measures these four
+functions from outside.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.orb.cdr import CDRDecoder, CDREncoder, _S_ULONG
+from repro.orb._cdr_fast import _pack_double, _pack_ulong, _unpack_ulong
+from repro.orb.cdr import CDRDecoder, CDREncoder
 from repro.orb.exceptions import (
     MARSHAL,
     SystemException,
@@ -81,13 +87,14 @@ def _read_header(decoder: CDRDecoder) -> int:
 #: Encoded service-context maps keyed by (buffer offset mod 8, frozen
 #: content).  The alignment is part of the key because the `any`
 #: encoding pads relative to the absolute offset.
+#: Ablation (PR 24): neutral on ``echo_hot`` / ``rt_pipelined`` /
+#: ``scenario_matrix`` and a *cost* on ``qos_bound`` (125.5 -> 118.4 us
+#: without it: the deadline context is unique per call, so every call
+#: freezes, hashes, misses and populates).  Kept for now — deleting it
+#: is a gain claim, which needs its own ten pairs (ROADMAP wire path).
 _context_cache = LRUCache(maxsize=256)
 
 _UNFREEZABLE = object()
-
-# struct used to key floats by bit pattern: -0.0 == 0.0 and NaN != NaN
-# would otherwise corrupt or defeat the cache.
-from repro.orb.cdr import _S_DOUBLE  # noqa: E402  (private by design)
 
 
 def _freeze(value: Any) -> Any:
@@ -104,7 +111,9 @@ def _freeze(value: Any) -> Any:
     if kind is int:
         return ("i", value)
     if kind is float:
-        return ("f", _S_DOUBLE.pack(value))
+        # Keyed by bit pattern: -0.0 == 0.0 and NaN != NaN would
+        # otherwise corrupt or defeat the cache.
+        return ("f", _pack_double(value))
     if value is None:
         return ("n",)
     if kind is bytes:
@@ -159,7 +168,13 @@ def _write_contexts(encoder: CDREncoder, contexts: Dict[str, Any]) -> None:
 # and the accepted inputs are unchanged — a miss simply takes the
 # field-by-field path below and populates the cache.
 
+#: Kept: without the encode-side replay ``echo_hot`` pays 37.2 -> 41.1
+#: us and ``scenario_matrix`` 77.5 -> 81.8 us per flow.
 _request_preamble_cache = LRUCache(maxsize=256)
+#: Kept: without the two decode-side replays ``echo_hot`` pays 37.2 ->
+#: 64.4 us and ``rt_pipelined`` 35.3 -> 82.0 (every message re-parses
+#: its target IOR and context map, and the request fast path is also
+#: the only way to the argument replay below).
 _request_decode_cache = LRUCache(maxsize=256)
 _reply_decode_cache = LRUCache(maxsize=256)
 
@@ -176,6 +191,10 @@ _reply_decode_cache = LRUCache(maxsize=256)
 # ordinary element-by-element path and populate the cache, so the wire
 # format and the accepted inputs are unchanged.
 
+#: Kept: ``echo_hot`` (one payload repeated) pays, one cache ablated at
+#: a time, 37.2 -> 46.7 / 54.4 / 47.6 / 52.7 us in this order, and 74.7
+#: with all four gone.  They are a *tax* where nothing repeats:
+#: ``echo_cold`` runs 131.0 -> 84.2 us without them (ROADMAP wire path).
 _args_encode_cache = LRUCache(maxsize=256)
 _args_decode_cache = LRUCache(maxsize=256)
 _result_encode_cache = LRUCache(maxsize=256)
@@ -195,6 +214,80 @@ def _copy_plain(value: Any) -> Any:
     if kind is list:
         return [_copy_plain(item) for item in value]
     return value
+
+
+def _encode_span(
+    encoder: CDREncoder,
+    cache: LRUCache,
+    value: Any,
+    write: Callable[[CDREncoder, Any], None],
+) -> None:
+    """Append ``write(encoder, value)``'s bytes, replayed from ``cache``
+    when this exact value tree was written at this alignment before."""
+    frozen = _freeze(value)
+    if frozen is _UNFREEZABLE:
+        write(encoder, value)
+        return
+    key = (len(encoder) % 8, frozen)
+    span = cache.get(key)
+    if span is not None:
+        encoder.write_raw(span)
+        COUNTERS.any_span_hits += 1
+        return
+    mark = encoder.mark()
+    write(encoder, value)
+    span = encoder.bytes_since(mark)
+    if len(span) <= _SPAN_LIMIT:
+        cache.put(key, span)
+    COUNTERS.any_span_misses += 1
+
+
+def _decode_span(
+    cache: LRUCache,
+    data: bytes,
+    offset: int,
+    read: Callable[[CDRDecoder], Any],
+) -> Any:
+    """``read(decoder at offset)``, replayed from ``cache`` when these
+    exact tail bytes were decoded before.
+
+    The template is the cache's own copy and every hit hands out
+    another: callers own (and may mutate) what they get.  It is stored
+    as a 1-tuple so a legitimate ``None`` still hits.
+    """
+    tail = data[offset:]
+    template = cache.get(tail)
+    if template is not None:
+        COUNTERS.any_span_hits += 1
+        return _copy_plain(template[0])
+    decoder = CDRDecoder(data)
+    decoder._offset = offset
+    value = read(decoder)
+    if len(tail) <= _SPAN_LIMIT:
+        cache.put(tail, (_copy_plain(value),))
+    COUNTERS.any_span_misses += 1
+    return value
+
+
+def _write_args(encoder: CDREncoder, args: Tuple[Any, ...]) -> None:
+    encoder.write_ulong(len(args))
+    for arg in args:
+        encoder.write_any(arg)
+
+
+def _read_args(decoder: CDRDecoder) -> List[Any]:
+    return [decoder.read_any() for _ in range(decoder.read_ulong())]
+
+
+def _write_result(encoder: CDREncoder, result: Any) -> None:
+    encoder.write_octet(NO_EXCEPTION)
+    encoder.write_any(result)
+
+
+def _read_result(decoder: CDRDecoder) -> Any:
+    decoder._offset += 1  # the NO_EXCEPTION octet, which decode_reply peeked
+    return decoder.read_any()
+
 
 #: Distinct preamble byte-lengths seen by each decode cache (one per
 #: stub/operation shape in practice).  Bounded: probing degenerates to
@@ -233,16 +326,10 @@ def clear_caches() -> None:
 # -- requests -----------------------------------------------------------
 
 
-def encode_request(request: Request, pools: Optional[Any] = None) -> bytes:
-    """Flatten a :class:`Request` (including its dual-use tag) to bytes.
-
-    ``pools`` is an optional :class:`~repro.orb.pool.WirePools`; when
-    given, the encoder buffer is recycled through its free list.
-    """
-    counters = COUNTERS
-    start = time.perf_counter_ns() if counters.enabled else 0
-    encoder = pools.acquire_encoder() if pools is not None else CDREncoder()
-    encoder.write_raw(_REQUEST_PREFIX + _S_ULONG.pack(request.request_id))
+def encode_request(request: Request) -> bytes:
+    """Flatten a :class:`Request` (including its dual-use tag) to bytes."""
+    encoder = CDREncoder()
+    encoder.write_raw(_REQUEST_PREFIX + _pack_ulong(request.request_id))
     # Everything between the request id and the args is constant for a
     # stub calling the same operation with the same contexts — replay
     # the cached span when the key matches (IORs are value objects, so
@@ -263,7 +350,7 @@ def encode_request(request: Request, pools: Optional[Any] = None) -> bytes:
     if preamble is not None:
         encoder.write_raw(preamble)
         # The replayed span embeds the cached context encoding.
-        counters.ctx_cache_hits += 1
+        COUNTERS.ctx_cache_hits += 1
     else:
         mark = encoder.mark()
         encoder.write_octets(request.target.encode())
@@ -274,35 +361,8 @@ def encode_request(request: Request, pools: Optional[Any] = None) -> bytes:
         _write_contexts(encoder, request.service_contexts)
         if key is not None:
             _request_preamble_cache.put(key, encoder.bytes_since(mark))
-    args = request.args
-    frozen_args = _freeze(args)
-    if frozen_args is not _UNFREEZABLE:
-        args_key = (len(encoder) % 8, frozen_args)
-        span = _args_encode_cache.get(args_key)
-        if span is not None:
-            encoder.write_raw(span)
-            counters.any_span_hits += 1
-        else:
-            mark = encoder.mark()
-            encoder.write_ulong(len(args))
-            for arg in args:
-                encoder.write_any(arg)
-            span = encoder.bytes_since(mark)
-            if len(span) <= _SPAN_LIMIT:
-                _args_encode_cache.put(args_key, span)
-            counters.any_span_misses += 1
-    else:
-        encoder.write_ulong(len(args))
-        for arg in args:
-            encoder.write_any(arg)
-    wire = encoder.getvalue()
-    if pools is not None:
-        pools.release_encoder(encoder)
-    if counters.enabled:
-        counters.encode_calls += 1
-        counters.encode_ns += time.perf_counter_ns() - start
-        counters.encode_bytes += len(wire)
-    return wire
+    _encode_span(encoder, _args_encode_cache, request.args, _write_args)
+    return encoder.getvalue()
 
 
 def decode_request(data: bytes) -> Request:
@@ -311,8 +371,6 @@ def decode_request(data: bytes) -> Request:
     The decoded request keeps the sender's request id so replies can be
     correlated.
     """
-    counters = COUNTERS
-    start = time.perf_counter_ns() if counters.enabled else 0
     # Exact-bytes fast path: probe the cached preamble parses at the
     # handful of span lengths this process has seen.  A hit replays
     # the already-validated fields; anything else (including malformed
@@ -323,39 +381,17 @@ def decode_request(data: bytes) -> Request:
             if entry is not None:
                 target, operation, kind, command_target, expected, ctx = entry
                 # The replayed span embeds the cached IOR parse.
-                counters.ior_parse_hits += 1
-                tail = data[12 + length:]
-                template = _args_decode_cache.get(tail)
-                if template is not None:
-                    args = tuple([_copy_plain(arg) for arg in template])
-                    counters.any_span_hits += 1
-                else:
-                    decoder = CDRDecoder(data)
-                    decoder._offset = 12 + length
-                    count = decoder.read_ulong()
-                    args = tuple([decoder.read_any() for _ in range(count)])
-                    if len(tail) <= _SPAN_LIMIT:
-                        # The template gets its own copy: callers own
-                        # (and may mutate) the args we hand back.
-                        _args_decode_cache.put(
-                            tail, tuple([_copy_plain(arg) for arg in args])
-                        )
-                    counters.any_span_misses += 1
-                request = Request(
+                COUNTERS.ior_parse_hits += 1
+                return Request(
                     target,
                     operation,
-                    args,
+                    _decode_span(_args_decode_cache, data, 12 + length, _read_args),
                     kind=kind,
                     command_target=command_target,
-                    service_contexts=dict(ctx),
+                    service_contexts=ctx,
                     response_expected=expected,
-                    request_id=_S_ULONG.unpack_from(data, 8)[0],
+                    request_id=_unpack_ulong(data, 8)[0],
                 )
-                if counters.enabled:
-                    counters.decode_calls += 1
-                    counters.decode_ns += time.perf_counter_ns() - start
-                    counters.decode_bytes += len(data)
-                return request
     decoder = CDRDecoder(data)
     if _read_header(decoder) != MSG_REQUEST:
         raise MARSHAL("expected a GIOP Request message")
@@ -369,8 +405,7 @@ def decode_request(data: bytes) -> Request:
     if not isinstance(contexts, dict):
         raise MARSHAL("service contexts must decode to a map")
     preamble_end = decoder._offset
-    count = decoder.read_ulong()
-    args = tuple([decoder.read_any() for _ in range(count)])
+    args = _read_args(decoder)
     if _scalar_contexts(contexts):
         length = preamble_end - 12
         _request_decode_cache.put(
@@ -383,7 +418,7 @@ def decode_request(data: bytes) -> Request:
             and len(_request_decode_lengths) < _DECODE_LENGTH_LIMIT
         ):
             _request_decode_lengths.append(length)
-    request = Request(
+    return Request(
         target,
         operation,
         args,
@@ -393,11 +428,6 @@ def decode_request(data: bytes) -> Request:
         response_expected=response_expected,
         request_id=request_id,
     )
-    if counters.enabled:
-        counters.decode_calls += 1
-        counters.decode_ns += time.perf_counter_ns() - start
-        counters.decode_bytes += len(data)
-    return request
 
 
 def encode_locate_request(request_id: int, object_key: str) -> bytes:
@@ -444,33 +474,13 @@ def encode_reply(
     result: Any = None,
     exception: Optional[Exception] = None,
     service_contexts: Optional[Dict[str, Any]] = None,
-    pools: Optional[Any] = None,
 ) -> bytes:
     """Flatten a reply: a result, a user exception or a system exception."""
-    counters = COUNTERS
-    start = time.perf_counter_ns() if counters.enabled else 0
-    encoder = pools.acquire_encoder() if pools is not None else CDREncoder()
-    encoder.write_raw(_REPLY_PREFIX + _S_ULONG.pack(request_id))
+    encoder = CDREncoder()
+    encoder.write_raw(_REPLY_PREFIX + _pack_ulong(request_id))
     _write_contexts(encoder, service_contexts or {})
     if exception is None:
-        frozen_result = _freeze(result)
-        if frozen_result is not _UNFREEZABLE:
-            result_key = (len(encoder) % 8, frozen_result)
-            span = _result_encode_cache.get(result_key)
-            if span is not None:
-                encoder.write_raw(span)
-                counters.any_span_hits += 1
-            else:
-                mark = encoder.mark()
-                encoder.write_octet(NO_EXCEPTION)
-                encoder.write_any(result)
-                span = encoder.bytes_since(mark)
-                if len(span) <= _SPAN_LIMIT:
-                    _result_encode_cache.put(result_key, span)
-                counters.any_span_misses += 1
-        else:
-            encoder.write_octet(NO_EXCEPTION)
-            encoder.write_any(result)
+        _encode_span(encoder, _result_encode_cache, result, _write_result)
     elif isinstance(exception, UserException):
         encoder.write_octet(USER_EXCEPTION)
         encoder.write_string(exception.repo_id)
@@ -488,14 +498,7 @@ def encode_reply(
         encoder.write_string(SystemException.repo_id)
         encoder.write_string(f"{type(exception).__name__}: {exception}")
         encoder.write_long(0)
-    wire = encoder.getvalue()
-    if pools is not None:
-        pools.release_encoder(encoder)
-    if counters.enabled:
-        counters.encode_calls += 1
-        counters.encode_ns += time.perf_counter_ns() - start
-        counters.encode_bytes += len(wire)
-    return wire
+    return encoder.getvalue()
 
 
 class Reply:
@@ -524,68 +527,48 @@ class Reply:
 
 def decode_reply(data: bytes) -> Reply:
     """Parse a reply message."""
-    counters = COUNTERS
-    start = time.perf_counter_ns() if counters.enabled else 0
-    decoder = CDRDecoder(data)
     contexts = None
     if data[:_HEADER_SIZE] == _HEADER_WIRE[MSG_REPLY]:
         for length in _reply_decode_lengths:
             cached = _reply_decode_cache.get(data[12 : 12 + length])
             if cached is not None:
                 contexts = dict(cached)
-                decoder._offset = 12 + length
-                request_id = _S_ULONG.unpack_from(data, 8)[0]
+                offset = 12 + length
+                request_id = _unpack_ulong(data, 8)[0]
                 break
     if contexts is None:
+        decoder = CDRDecoder(data)
         if _read_header(decoder) != MSG_REPLY:
             raise MARSHAL("expected a GIOP Reply message")
         request_id = decoder.read_ulong()
         contexts = decoder.read_any()
         if not isinstance(contexts, dict):
             raise MARSHAL("service contexts must decode to a map")
-        preamble_end = decoder._offset
+        offset = decoder._offset
         if _scalar_contexts(contexts):
-            length = preamble_end - 12
-            _reply_decode_cache.put(data[12:preamble_end], dict(contexts))
+            length = offset - 12
+            _reply_decode_cache.put(data[12:offset], dict(contexts))
             if (
                 length not in _reply_decode_lengths
                 and len(_reply_decode_lengths) < _DECODE_LENGTH_LIMIT
             ):
                 _reply_decode_lengths.append(length)
-    tail = data[decoder._offset:]
-    template = _result_decode_cache.get(tail)
-    if template is not None:
-        # Stored as a 1-tuple so a legitimate None result still hits.
-        reply = Reply(request_id, contexts, _copy_plain(template[0]), None)
-        counters.any_span_hits += 1
-        if counters.enabled:
-            counters.decode_calls += 1
-            counters.decode_ns += time.perf_counter_ns() - start
-            counters.decode_bytes += len(data)
-        return reply
+    if offset < len(data) and data[offset] == NO_EXCEPTION:
+        result = _decode_span(_result_decode_cache, data, offset, _read_result)
+        return Reply(request_id, contexts, result, None)
+    decoder = CDRDecoder(data)
+    decoder._offset = offset
     status = decoder.read_octet()
-    if status == NO_EXCEPTION:
-        result = decoder.read_any()
-        reply = Reply(request_id, contexts, result, None)
-        if len(tail) <= _SPAN_LIMIT:
-            _result_decode_cache.put(tail, (_copy_plain(result),))
-        counters.any_span_misses += 1
-    elif status == USER_EXCEPTION:
+    if status == USER_EXCEPTION:
         repo_id = decoder.read_string()
         message = decoder.read_string()
         members = decoder.read_any()
         exception = user_exception_from_wire(repo_id, message, members)
-        reply = Reply(request_id, contexts, None, exception)
     elif status == SYSTEM_EXCEPTION:
         repo_id = decoder.read_string()
         message = decoder.read_string()
         minor = decoder.read_long()
         exception = system_exception_from_wire(repo_id, message, minor)
-        reply = Reply(request_id, contexts, None, exception)
     else:
         raise MARSHAL(f"unknown reply status: {status}")
-    if counters.enabled:
-        counters.decode_calls += 1
-        counters.decode_ns += time.perf_counter_ns() - start
-        counters.decode_bytes += len(data)
-    return reply
+    return Reply(request_id, contexts, None, exception)

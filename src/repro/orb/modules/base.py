@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.orb import giop
 from repro.orb.cdr import CDRDecoder, CDREncoder
 from repro.orb.dii import PseudoObject
-from repro.orb.exceptions import BAD_OPERATION, MARSHAL
+from repro.orb.exceptions import BAD_OPERATION, BAD_PARAM, MARSHAL
 from repro.orb.ior import IOR
 from repro.orb.request import Request
 from repro.perf.counters import COUNTERS
@@ -62,6 +62,16 @@ def decode_envelope(data: bytes) -> Tuple[str, Dict[str, Any], bytes]:
 def is_envelope(data: bytes) -> bool:
     """Does this wire message carry a module envelope?"""
     return data[:4] == ENVELOPE_MAGIC
+
+
+def peer_named(lookup: Callable[[Any], Any], name: Any) -> Any:
+    """``lookup(name)`` for a codec/cipher name that may be the peer's
+    (envelope params): an unknown one is a typed refusal (``BAD_PARAM``),
+    not the registry's bare ``ValueError``."""
+    try:
+        return lookup(name)
+    except (ValueError, TypeError) as error:
+        raise BAD_PARAM(f"cannot resolve {name!r}: {error}") from None
 
 
 def binding_key(ior: IOR) -> str:
@@ -185,17 +195,29 @@ class QoSModule:
         return self._wrap_one(body, context, self._burst_prolog(context))
 
     def unwrap(self, params: Dict[str, Any], payload: bytes) -> Tuple[bytes, float]:
-        """Invert :meth:`wrap`.  Returns ``(body, cpu_seconds)``."""
-        return self._unwrap_one(params, payload, self._unwrap_prolog(params))
+        """Invert :meth:`wrap`.  Returns ``(body, cpu_seconds)``.
+
+        Subclasses implement :meth:`_unwrap_one`, as they implement
+        :meth:`_wrap_one`; the public pair stays on this class, where
+        ``bench/spans.py`` weaves its spans.
+        """
+        return self._unwrap_one(params, payload)
+
+    def _unwrap_one(
+        self, params: Dict[str, Any], payload: bytes
+    ) -> Tuple[bytes, float]:
+        """Invert one transform; ``params`` are the peer's to choose, so
+        a name they carry that resolves to nothing raises ``BAD_PARAM``."""
+        return payload, 0.0
 
     # -- burst primitives -------------------------------------------------
     #
-    # A burst amortises the per-message transform *setup* (codec/cipher
-    # table lookups, session-key resolution) across a batch from the
-    # same binding.  Only Python-level work is amortised: the simulated
-    # CPU cost of a transform is linear in the bytes processed, so the
-    # time model and the produced bytes are identical to N single
-    # wrap()/unwrap() calls — tests assert this.
+    # A burst amortises the outgoing transform *setup* (codec/cipher
+    # table lookups, session-key resolution) across one AMI window
+    # (:meth:`repro.orb.ami.PipelinedChannel.flush`).  Only Python-level
+    # work is amortised: the simulated CPU cost of a transform is linear
+    # in the bytes processed, so the time model and the produced bytes
+    # are identical to N single wrap() calls — tests assert this.
 
     def _burst_prolog(self, context: Dict[str, Any]) -> Any:
         """Resolve per-burst outgoing transform state once."""
@@ -217,35 +239,20 @@ class QoSModule:
         COUNTERS.module_burst_messages += len(out)
         return out
 
-    def _unwrap_prolog(self, params: Dict[str, Any]) -> Any:
-        """Prepare shared inbound transform state (e.g. a memo cache)."""
-        return None
+    def open_reply(self, reply_wire: bytes) -> Tuple[bytes, float]:
+        """Undo the peer module's envelope on a reply, if it has one.
 
-    def _unwrap_one(
-        self, params: Dict[str, Any], payload: bytes, state: Any
-    ) -> Tuple[bytes, float]:
-        """Invert one transform using prepared ``state``."""
-        return payload, 0.0
-
-    def unwrap_burst(
-        self, items: Sequence[Tuple[Dict[str, Any], bytes]]
-    ) -> List[Tuple[bytes, float]]:
-        """Unwrap a batch of ``(params, payload)`` pairs with one prolog.
-
-        The prolog state is seeded from the first item's params; items
-        whose params differ (e.g. an incompressible message marked
-        ``identity``) are still handled correctly because per-item
-        resolution falls back through the shared memo state.
+        Returns ``(giop_bytes, cpu_seconds)``; a bare reply (the server
+        could not even read the request) passes through at no cost.
         """
-        if not items:
-            return []
-        state = self._unwrap_prolog(items[0][0])
-        out = [
-            self._unwrap_one(params, payload, state) for params, payload in items
-        ]
-        COUNTERS.module_bursts += 1
-        COUNTERS.module_burst_messages += len(out)
-        return out
+        if not is_envelope(reply_wire):
+            return reply_wire, 0.0
+        envelope_name, params, payload = decode_envelope(reply_wire)
+        if envelope_name != self.name:
+            raise MARSHAL(
+                f"reply wrapped by {envelope_name!r}, expected {self.name!r}"
+            )
+        return self.unwrap(params, payload)
 
     def send_request(self, orb: Any, request: Request) -> giop.Reply:
         """Client-side data path: encode, transform, transmit, decode.
@@ -258,7 +265,7 @@ class QoSModule:
         """
         clock = orb.time_source
         depart = clock.now()
-        wire = giop.encode_request(request, pools=getattr(orb, "pools", None))
+        wire = giop.encode_request(request)
         depart += orb.marshal_cost(len(wire))
         if self.uses_envelope:
             params, payload, cpu = self.wrap(wire, self.context_for(request))
@@ -275,67 +282,12 @@ class QoSModule:
             depart,
             self.reservations_for(request),
         )
-        if is_envelope(reply_wire):
-            envelope_name, params, payload = decode_envelope(reply_wire)
-            if envelope_name != self.name:
-                raise MARSHAL(
-                    f"reply wrapped by {envelope_name!r}, expected {self.name!r}"
-                )
-            reply_wire, cpu = self.unwrap(params, payload)
-            finish += cpu
+        reply_wire, cpu = self.open_reply(reply_wire)
+        finish += cpu
         finish += orb.marshal_cost(len(reply_wire))
         clock.wait_until(finish)
         self.requests_sent += 1
         return giop.decode_reply(reply_wire)
-
-    def send_pipeline(self, orb: Any, requests: Sequence[Request]) -> List[giop.Reply]:
-        """Client-side burst: issue several requests over one binding.
-
-        Semantically identical to calling :meth:`send_request` once per
-        request — same bytes on the wire, same simulated timing (tests
-        assert both) — only the Python-level module prolog work
-        (codec/cipher/key resolution) is shared across the batch.  All
-        requests must ride the same binding; mixed/oneway batches fall
-        back to the per-request path.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        if not self.uses_envelope or not all(
-            r.response_expected for r in requests
-        ):
-            return [self.send_request(orb, request) for request in requests]
-        clock = orb.time_source
-        pools = getattr(orb, "pools", None)
-        bodies = [giop.encode_request(r, pools=pools) for r in requests]
-        wrapped = self.wrap_burst(bodies, self.context_for(requests[0]))
-        reply_state: Any = None
-        replies: List[giop.Reply] = []
-        for request, body, (params, payload, cpu) in zip(requests, bodies, wrapped):
-            depart = clock.now() + orb.marshal_cost(len(body)) + cpu
-            wire = encode_envelope(self.name, params, payload)
-            reply_wire, finish = orb.round_trip(
-                request.target.profile.host,
-                wire,
-                depart,
-                self.reservations_for(request),
-            )
-            if is_envelope(reply_wire):
-                envelope_name, rparams, rpayload = decode_envelope(reply_wire)
-                if envelope_name != self.name:
-                    raise MARSHAL(
-                        f"reply wrapped by {envelope_name!r}, "
-                        f"expected {self.name!r}"
-                    )
-                if reply_state is None:
-                    reply_state = self._unwrap_prolog(rparams)
-                reply_wire, rcpu = self._unwrap_one(rparams, rpayload, reply_state)
-                finish += rcpu
-            finish += orb.marshal_cost(len(reply_wire))
-            clock.wait_until(finish)
-            self.requests_sent += 1
-            replies.append(giop.decode_reply(reply_wire))
-        return replies
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<QoSModule {self.name!r}>"

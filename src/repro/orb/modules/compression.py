@@ -14,7 +14,7 @@ from typing import Any, Dict, Tuple
 
 from repro import codecs
 from repro.orb.exceptions import BAD_PARAM
-from repro.orb.modules.base import QoSModule
+from repro.orb.modules.base import QoSModule, peer_named
 
 DEFAULT_CODEC = "lz"
 
@@ -58,7 +58,7 @@ class CompressionModule(QoSModule):
         # envelope params as context; "requested" preserves the binding's
         # codec choice even when the request itself was incompressible.
         codec_name = context.get("requested", context.get("codec", DEFAULT_CODEC))
-        compress, _ = codecs.get_codec(codec_name)
+        compress, _ = peer_named(codecs.get_codec, codec_name)
         return codec_name, compress
 
     def _wrap_one(
@@ -75,21 +75,11 @@ class CompressionModule(QoSModule):
         self.bytes_out += len(compressed)
         return {"codec": codec_name, "requested": codec_name}, compressed, cpu
 
-    def _unwrap_prolog(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        # Memo of codec name -> decompress fn; a burst can mix codecs
-        # (identity markers for incompressible messages) so resolution
-        # stays per-item but each codec is looked up only once.
-        return {}
-
     def _unwrap_one(
-        self, params: Dict[str, Any], payload: bytes, state: Dict[str, Any]
+        self, params: Dict[str, Any], payload: bytes
     ) -> Tuple[bytes, float]:
         codec_name = params.get("codec", "identity")
-        try:
-            decompress = state[codec_name]
-        except KeyError:
-            decompress = state[codec_name] = codecs.get_codec(codec_name)[1]
-        body = decompress(payload)
+        body = peer_named(codecs.get_codec, codec_name)[1](payload)
         return body, codecs.cpu_cost(codec_name, len(body))
 
 

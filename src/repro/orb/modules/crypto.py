@@ -14,7 +14,7 @@ from typing import Any, Dict, Tuple
 from repro import ciphers
 from repro.ciphers.keyex import KeyExchange
 from repro.orb.exceptions import BAD_PARAM, NO_PERMISSION
-from repro.orb.modules.base import QoSModule
+from repro.orb.modules.base import QoSModule, peer_named
 
 DEFAULT_CIPHER = "xtea-ctr"
 
@@ -94,7 +94,7 @@ class CryptoModule(QoSModule):
         key_id = context.get("key_id")
         if key_id is None:
             raise NO_PERMISSION("binding has no key_id configured; negotiate first")
-        encrypt, _ = ciphers.get_cipher(cipher_name)
+        encrypt, _ = peer_named(ciphers.get_cipher, cipher_name)
         return cipher_name, key_id, encrypt, self._key(key_id)
 
     def _wrap_one(
@@ -108,22 +108,12 @@ class CryptoModule(QoSModule):
         params = {"cipher": cipher_name, "key_id": key_id}
         return params, payload, ciphers.cpu_cost(cipher_name, len(body))
 
-    def _unwrap_prolog(self, params: Dict[str, Any]) -> Dict[Any, Any]:
-        # Memo of (cipher, key id) -> (decrypt fn, session key).
-        return {}
-
     def _unwrap_one(
-        self, params: Dict[str, Any], payload: bytes, state: Dict[Any, Any]
+        self, params: Dict[str, Any], payload: bytes
     ) -> Tuple[bytes, float]:
         cipher_name = params.get("cipher", DEFAULT_CIPHER)
-        key_id = params.get("key_id", "")
-        try:
-            decrypt, key = state[cipher_name, key_id]
-        except KeyError:
-            decrypt = ciphers.get_cipher(cipher_name)[1]
-            key = self._key(key_id)
-            state[cipher_name, key_id] = (decrypt, key)
-        body = decrypt(key, payload)
+        decrypt = peer_named(ciphers.get_cipher, cipher_name)[1]
+        body = decrypt(self._key(params.get("key_id", "")), payload)
         return body, ciphers.cpu_cost(cipher_name, len(body))
 
 

@@ -26,7 +26,6 @@ from repro.orb.exceptions import COMM_FAILURE, MARSHAL, SystemException, TRANSIE
 from repro.orb.ior import IOR
 from repro.orb.modules.base import decode_envelope, encode_envelope, is_envelope
 from repro.orb.poa import POA
-from repro.orb.pool import WirePools
 from repro.orb.qos_transport import QoSTransport
 from repro.orb.request import Request, next_request_id
 from repro.orb.transport import NetsimTransport
@@ -51,8 +50,6 @@ class ORB:
         #: Optional request scheduler (admission control, fair queuing,
         #: overload protection) — see :meth:`install_scheduler`.
         self.scheduler = None
-        #: Free lists for encoder buffers / request objects (hot path).
-        self.pools = WirePools()
         #: Deferred-invocation engine: reply futures and the pipelined
         #: channels of :mod:`repro.orb.ami`.
         self.ami = AMIEngine(self)
@@ -250,21 +247,40 @@ class ORB:
 
         Handles module envelopes, the dual-use command/request split,
         POA delivery, and reply encoding — the server half of Figure 3.
+        Wire observers see the message and then its answer, whichever
+        branch produced it.
         """
         self.requests_received += 1
         self._observe("in", wire)
+        reply_wire, finish = self._serve(wire, at_time)
+        self._observe("out", reply_wire)
+        return reply_wire, finish
+
+    def _refuse(self, error: Exception, at_time: float) -> Tuple[bytes, float]:
+        """Answer an envelope this broker cannot honour with a bare
+        system exception: request id 0 (nothing to correlate by) and no
+        module transform on the reply."""
+        reply = giop.encode_reply(0, exception=error)
+        return reply, at_time + self.marshal_cost(len(reply))
+
+    def _serve(self, wire: bytes, at_time: float) -> Tuple[bytes, float]:
         module = None
         envelope_params: Dict[str, Any] = {}
         if is_envelope(wire):
-            module_name, envelope_params, payload = decode_envelope(wire)
-            module = self.qos_transport.require_module(module_name)
+            # Everything in an envelope is the peer's to choose: a bad
+            # module, cipher or codec name, a missing session key or a
+            # mangled payload is answered, never raised into the
+            # transport (where it would take the connection down).
             try:
+                module_name, envelope_params, payload = decode_envelope(wire)
+                module = self.qos_transport.require_module(module_name)
                 wire, cpu = module.unwrap(envelope_params, payload)
             except SystemException as error:
-                # Cannot even read the request (e.g. missing session
-                # key): answer with an unwrapped system exception.
-                reply = giop.encode_reply(0, exception=error)
-                return reply, at_time + self.marshal_cost(len(reply))
+                return self._refuse(error, at_time)
+            except Exception as error:  # a transform choking on peer bytes
+                return self._refuse(
+                    MARSHAL(f"cannot unwrap envelope: {error}"), at_time
+                )
             at_time += cpu
             module.requests_served += 1
         at_time += self.marshal_cost(len(wire))
@@ -277,7 +293,6 @@ class ORB:
                 else giop.UNKNOWN_OBJECT
             )
             reply = giop.encode_locate_reply(request_id, status)
-            self._observe("out", reply)
             return reply, at_time + self.marshal_cost(len(reply))
 
         request = giop.decode_request(wire)
@@ -302,18 +317,18 @@ class ORB:
                 reply_contexts = {RETRY_AFTER_CONTEXT: retry_after}
 
         reply_wire = giop.encode_reply(
-            request.request_id,
-            result,
-            exception,
-            service_contexts=reply_contexts,
-            pools=self.pools,
+            request.request_id, result, exception, service_contexts=reply_contexts
         )
         finish += self.marshal_cost(len(reply_wire))
         if module is not None:
-            params, payload, cpu = module.wrap(reply_wire, dict(envelope_params))
+            try:
+                params, payload, cpu = module.wrap(reply_wire, dict(envelope_params))
+            except SystemException as error:
+                # The request's params also steer the reply transform
+                # (compression's "requested" codec).
+                return self._refuse(error, finish)
             finish += cpu
             reply_wire = encode_envelope(module.name, params, payload)
-        self._observe("out", reply_wire)
         return reply_wire, finish
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -33,11 +33,10 @@ _request_ids = itertools.count(1)
 def next_request_id() -> int:
     """Draw the next id from the shared request-id allocator.
 
-    Every :class:`Request` (constructed or recycled through the pools)
-    and every GIOP message the ORB originates itself (LocateRequest,
-    the AMI pipeline) draws from this one sequence, so reply
-    correlation by ``request_id`` can never collide across message
-    kinds in flight on the same binding.
+    Every :class:`Request` and every GIOP message the ORB originates
+    itself (LocateRequest, the AMI pipeline) draws from this one
+    sequence, so reply correlation by ``request_id`` can never collide
+    across message kinds in flight on the same binding.
     """
     return next(_request_ids)
 
@@ -105,31 +104,6 @@ class Request:
     @property
     def is_command(self) -> bool:
         return self.kind == COMMAND
-
-    def _reuse(
-        self,
-        target: IOR,
-        operation: str,
-        args: Tuple[Any, ...],
-        service_contexts: Dict[str, Any],
-        response_expected: bool,
-    ) -> "Request":
-        """Re-initialise a pooled instance as a fresh service request.
-
-        Only plain (non-command) requests are pooled, so the kind and
-        command-target invariants hold by construction; a new request
-        id is drawn so reply correlation behaves exactly as for a
-        newly constructed request.
-        """
-        self.request_id = next_request_id()
-        self.target = target
-        self.operation = operation
-        self.args = tuple(args)
-        self.kind = REQUEST
-        self.command_target = None
-        self.service_contexts = service_contexts
-        self.response_expected = response_expected
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_command:

@@ -101,28 +101,21 @@ class Stub:
         applying their client-side QoS behaviour; ``target`` lets a
         mediator redirect the call (e.g. to a specific replica).
         """
-        contexts = dict(self._contexts)
+        contexts = self._contexts
         if extra_contexts:
-            contexts.update(extra_contexts)
-        pools = self._orb.pools
-        request = pools.acquire_request(
+            contexts = {**contexts, **extra_contexts}
+        # Request copies the context map, so mediators mutating the
+        # request never reach the stub's own.
+        request = Request(
             target if target is not None else self._ior,
             operation,
             args,
-            contexts,
-            operation not in self._oneway_ops,
+            service_contexts=contexts,
+            response_expected=operation not in self._oneway_ops,
         )
-        try:
-            if self._deferred_depth:
-                # Deferred mode: the AMI engine snapshots (encodes) the
-                # request before returning, so recycling below is just
-                # as safe as on the synchronous path.
-                return self._orb.invoke_deferred(request)
-            return self._orb.invoke(request)
-        finally:
-            # The request's lifetime is call-scoped: the server decodes
-            # its own copy from the wire, so recycling here is safe.
-            pools.release_request(request)
+        if self._deferred_depth:
+            return self._orb.invoke_deferred(request)
+        return self._orb.invoke(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mediated = " mediated" if self._mediator is not None else ""

@@ -1,14 +1,12 @@
 """Wire-path performance instrumentation.
 
-Cheap, always-compiled counters for the ORB hot path: encode/decode
-wall time and bytes (recorded by :mod:`repro.orb.giop` when enabled),
-cache hit rates for the GIOP/IOR machinery, and a
-:class:`~repro.perf.counters.WireStats` observer that plugs into the
-existing ``ORB.add_wire_observer`` hook to count on-the-wire traffic.
-
-Timing is off by default so the counters cost one attribute check per
-message; enable with ``COUNTERS.enable()`` (or construct a
-:class:`WireStats` and read its byte totals, which are always live).
+Always-on integer counters for the ORB hot path — cache hit rates for
+the GIOP/IOR machinery, batch, pipeline, scheduler and reliability
+activity — and a :class:`~repro.perf.counters.WireStats` observer that
+plugs into the existing ``ORB.add_wire_observer`` hook to count
+on-the-wire traffic.  There is no switch: a counter is one integer
+increment, and nothing here reads a clock (``bench/spans.py`` times the
+codec from outside).
 """
 
 from repro.perf.counters import COUNTERS, PerfCounters, WireStats, snapshot

@@ -200,7 +200,7 @@ def _run_open(spec: Spec, deployment: Deployment) -> ScenarioResult:
             target, operation, args,
             service_contexts={CLASS_CONTEXT: klass},
         )
-        wire = giop.encode_request(request, pools=getattr(orb, "pools", None))
+        wire = giop.encode_request(request)
         depart += orb.marshal_cost(len(wire))
         flow = FlowRecord(
             flow_id=f"{source}:{index:05d}",

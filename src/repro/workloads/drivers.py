@@ -224,7 +224,7 @@ def open_loop_fanout(
             arrival.args,
             service_contexts=arrival.contexts,
         )
-        wire = giop.encode_request(request, pools=getattr(orb, "pools", None))
+        wire = giop.encode_request(request)
         depart += orb.marshal_cost(len(wire))
         try:
             reply_wire, finish = orb.round_trip(

@@ -1,21 +1,22 @@
 """Burst batching through QoS modules must be invisible on the wire.
 
-``wrap_burst``/``unwrap_burst``/``send_pipeline`` amortise only the
-Python-level transform setup (codec lookup, key resolution) across a
-batch; the produced bytes, envelope params, simulated CPU charges and
-end-to-end timing are asserted byte-for-byte identical to the
-per-message path.
+``wrap_burst`` amortises only the Python-level transform setup (codec
+lookup, key resolution) across one AMI window; the produced bytes,
+envelope params and simulated CPU charges are asserted identical to
+the per-message path.  (That a whole window is byte-identical to the
+synchronous calls is ``test_ami.py``'s
+``test_pipelined_window_sends_identical_bytes``.)
 """
 
 import random
 
 import pytest
 
-from repro.orb import World
+from repro.orb import QOS_TAG, TaggedComponent, World
 from repro.orb.modules.base import binding_key
 from repro.orb.modules.compression import CompressionModule
 from repro.orb.modules.crypto import CryptoModule
-from repro.orb.request import Request
+from repro.orb.stub import Stub
 from repro.perf.counters import COUNTERS
 from tests.orb.conftest import EchoServant
 
@@ -46,26 +47,14 @@ class TestCompressionBurst:
         # The mix really exercised the identity fallback.
         assert {params["codec"] for params, _, _ in burst} >= {"lz", "identity"}
 
-    def test_unwrap_burst_matches_single_unwraps(self):
-        module = CompressionModule()
-        wrapped = module.wrap_burst(make_bodies(), {"codec": "lz"})
-        items = [(params, payload) for params, payload, _ in wrapped]
-        single = [module.unwrap(params, payload) for params, payload in items]
-        burst = module.unwrap_burst(items)
-        assert burst == single
-        assert [body for body, _ in burst] == make_bodies()
-
     def test_burst_counters_account_messages(self):
         COUNTERS.reset()
-        module = CompressionModule()
-        wrapped = module.wrap_burst(make_bodies(), {"codec": "lz"})
-        module.unwrap_burst([(p, b) for p, b, _ in wrapped])
-        assert COUNTERS.module_bursts == 2
-        assert COUNTERS.module_burst_messages == 2 * len(make_bodies())
+        CompressionModule().wrap_burst(make_bodies(), {"codec": "lz"})
+        assert COUNTERS.module_bursts == 1
+        assert COUNTERS.module_burst_messages == len(make_bodies())
 
     def test_empty_burst_is_a_noop(self):
-        module = CompressionModule()
-        assert module.unwrap_burst([]) == []
+        assert CompressionModule().wrap_burst([], {"codec": "lz"}) == []
 
 
 class TestCryptoBurst:
@@ -82,15 +71,19 @@ class TestCryptoBurst:
         burst = self.make_module().wrap_burst(bodies, context)
         assert burst == single
 
-    def test_unwrap_burst_roundtrips(self):
+    def test_wrap_burst_roundtrips(self):
         module = self.make_module()
         context = {"cipher": "xtea-ctr", "key_id": "s1"}
         wrapped = module.wrap_burst(make_bodies(), context)
-        items = [(params, payload) for params, payload, _ in wrapped]
-        single = [module.unwrap(params, payload) for params, payload in items]
-        burst = module.unwrap_burst(items)
-        assert burst == single
-        assert [body for body, _ in burst] == make_bodies()
+        bodies = [module.unwrap(params, payload)[0] for params, payload, _ in wrapped]
+        assert bodies == make_bodies()
+
+
+class _EchoStub(Stub):
+    _oneway_ops = frozenset({"whoami"})
+
+    def echo(self, text):
+        return self._call("echo", text)
 
 
 def pipeline_world():
@@ -98,45 +91,41 @@ def pipeline_world():
     world = World()
     world.lan(["client", "server"], latency=0.002, bandwidth_bps=1e6)
     servant = EchoServant("server")
-    ior = world.orb("server").poa.activate_object(servant, object_key="echo")
+    ior = world.orb("server").poa.activate_object(
+        servant,
+        object_key="echo",
+        components=[TaggedComponent(QOS_TAG, {"characteristics": ["compression"]})],
+    )
     client = world.orb("client")
     client.qos_transport.assign(ior, "compression")
     module = client.qos_transport.module("compression")
     module.set_codec(binding_key(ior), "rle")
     payloads = ["a" * 300, "bcd" * 150, "e" * 20, "fgfgfg" * 80]
-    requests = [Request(ior, "echo", (text,)) for text in payloads]
-    return world, client, module, requests, [t.upper() for t in payloads]
+    return _EchoStub(client, ior), servant, payloads, [t.upper() for t in payloads]
 
 
 class TestSendPipeline:
-    def test_pipeline_equals_sequential_sends(self):
-        # Two identically-built worlds: one drains the batch through
-        # send_request N times, the other through one send_pipeline.
-        world_a, client_a, module_a, requests_a, expected = pipeline_world()
-        seq_replies = [module_a.send_request(client_a, r) for r in requests_a]
-
-        world_b, client_b, module_b, requests_b, _ = pipeline_world()
-        pipe_replies = module_b.send_pipeline(client_b, requests_b)
-
-        assert [r.value() for r in seq_replies] == expected
-        assert [r.value() for r in pipe_replies] == expected
-        # Identical simulated timing and wire traffic, not just results.
-        assert world_b.clock.now == pytest.approx(world_a.clock.now)
-        assert world_b.network.bytes_sent == world_a.network.bytes_sent
-        assert module_b.requests_sent == module_a.requests_sent
+    """The one window path: ``send_deferred`` futures through a module."""
 
     def test_pipeline_counts_one_burst(self):
+        stub, _, payloads, expected = pipeline_world()
         COUNTERS.reset()
-        _, client, module, requests, expected = pipeline_world()
-        replies = module.send_pipeline(client, requests)
-        assert [r.value() for r in replies] == expected
-        assert COUNTERS.module_bursts >= 1
-        assert COUNTERS.module_burst_messages >= len(requests)
+        futures = [stub.send_deferred("echo", text) for text in payloads]
+        assert [future.result() for future in futures] == expected
+        # One window: the client's wrap prolog ran once for all four.
+        assert COUNTERS.pipeline_windows == 1
+        assert COUNTERS.module_bursts == 1
+        assert COUNTERS.module_burst_messages == len(payloads)
 
     def test_oneway_batch_falls_back_to_sequential(self):
-        _, client, module, requests, expected = pipeline_world()
-        requests[1].response_expected = False
-        replies = module.send_pipeline(client, requests)
-        assert replies[0].value() == expected[0]
-        assert replies[1].value() is None
-        assert [r.value() for r in replies[2:]] == expected[2:]
+        stub, servant, payloads, expected = pipeline_world()
+        first = stub.send_deferred("echo", payloads[0])
+        oneway = stub.send_deferred("whoami")
+        # The oneway went out on its own, through the module, at once;
+        # the two-way before it is still queued in its window.
+        assert oneway.done and not first.done
+        assert servant.calls == 1
+        assert stub._orb.qos_transport.module("compression").requests_sent == 1
+        assert oneway.result() is None
+        rest = [stub.send_deferred("echo", text) for text in payloads[1:]]
+        assert [f.result() for f in [first] + rest] == expected

@@ -5,8 +5,10 @@ The transport's failure contract is pinned in ``test_transport_seam.py``.
 
 import pytest
 
-from repro.orb.exceptions import OVERLOAD, SystemException
+from repro.orb import giop
+from repro.orb.exceptions import BAD_PARAM, OVERLOAD, SystemException
 from repro.orb.ior import IIOPProfile, IOR
+from repro.orb.modules.base import encode_envelope
 from repro.orb.request import Request, reset_request_ids
 from repro.orb.stub import Stub
 from repro.perf.counters import COUNTERS
@@ -70,6 +72,16 @@ class TestRoundTrips:
         replies = client.invoke_window(requests)
         assert [r.value() for r in replies] == [f"M{i}" for i in range(10)]
         assert [r.request_id for r in replies] == [r.request_id for r in requests]
+
+    def test_hostile_envelope_is_answered_and_the_connection_lives(self, served):
+        _, client, ior = served
+        connection = client.connection("server")
+        hostile = encode_envelope("compression", {"codec": "zstd"}, b"x" * 16)
+        reply = giop.decode_reply(connection.round_trip(hostile))
+        assert type(reply.exception) is BAD_PARAM
+        # Same socket, next frame: the handler task survived the refusal.
+        assert client.connection("server") is connection
+        assert client.invoke(Request(ior, "whoami", ())) == "wall"
 
     def test_counters_track_frames(self, served):
         COUNTERS.reset()

@@ -17,6 +17,9 @@ PAPERS.md), and are cheap enough to run in tier-1:
    or ``continue``.
 4. **One wall clock**: ``time.time`` / ``time.monotonic`` /
    ``time.sleep`` are called in ``rt/clock.py`` only.
+5. **One wire codec**: the CDR primitive formats (``struct.Struct(">I")``
+   and friends) are spelled in ``orb/_cdr_fast.py`` only, and the GIOP
+   encoders build their own buffer (no pool parameter).
 
 One dynamic check pins what the DAG buys: a netsim-only process never
 loads ``asyncio`` or any package above ``core``.
@@ -271,9 +274,8 @@ def test_the_swallow_rule_reads_handlers():
 
 #: Reading or sleeping on the host's clock changes *behaviour* with the
 #: machine, so it happens behind the TimeSource protocol, in one file.
-#: ``time.perf_counter*`` is not covered: instruments (giop's
-#: encode/decode nanosecond counters, the rt timed loops bench reads)
-#: time the host on purpose and feed no decision.
+#: ``time.perf_counter*`` is not covered: instruments (the rt timed
+#: loops bench reads) time the host on purpose and feed no decision.
 WALL_CLOCK = ("time.time", "time.monotonic", "time.sleep")
 WALL_CLOCK_OWNER = "repro/rt/clock.py"
 
@@ -298,6 +300,66 @@ def test_the_wall_clock_rule_sees_calls_and_from_imports():
         "time.monotonic"
     ]
     assert _wall_clock_uses(ast.parse("import time\ntime.perf_counter()\n")) == []
+
+
+# -- 5. one wire codec -------------------------------------------------------
+
+#: A second copy of the primitive table is how ``cdr.py`` and
+#: ``_cdr_fast.py`` drifted into two codecs once (PR 9 to PR 24).
+CDR_TABLE_OWNER = "repro/orb/_cdr_fast.py"
+_STRUCT_CALLS = ("Struct", "pack", "pack_into", "unpack", "unpack_from")
+
+
+def _big_endian_formats(tree):
+    """Literal ``">..."`` formats handed to ``struct.Struct`` / ``struct.pack`` ..."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        called = ast.unparse(node.func).removeprefix("struct.")
+        first = node.args[0]
+        if (
+            called in _STRUCT_CALLS
+            and isinstance(first, ast.Constant)
+            and isinstance(first.value, str)
+            and first.value.startswith(">")
+        ):
+            yield first.value
+
+
+def test_cdr_primitive_formats_are_spelled_in_one_module():
+    owners = {
+        path: formats
+        for path, tree in _modules()
+        if path.startswith("repro/orb/")
+        and (formats := sorted(_big_endian_formats(tree)))
+    }
+    assert list(owners) == [CDR_TABLE_OWNER], owners
+
+
+def test_the_format_rule_reads_literal_formats_only():
+    tree = ast.parse(
+        "import struct\nfrom struct import Struct\n"
+        "A = struct.Struct('>I')\n"
+        "B = Struct('>d')\n"
+        "C = struct.pack('>2I', 1, 2)\n"
+        "D = struct.Struct('>' + unit * count)\n"  # computed: a batch, not the table
+        "E = struct.Struct('<I')\n"  # not CDR's byte order
+        "F = codec.pack('>I')\n"
+    )
+    assert sorted(_big_endian_formats(tree)) == [">2I", ">I", ">d"]
+
+
+def test_giop_encoders_take_no_pool():
+    giop = dict(_modules())["repro/orb/giop.py"]
+    parameters = {
+        node.name: [arg.arg for arg in node.args.args + node.args.kwonlyargs]
+        for node in giop.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert parameters["encode_request"] == ["request"]
+    assert parameters["encode_reply"] == [
+        "request_id", "result", "exception", "service_contexts"
+    ]
 
 
 # -- what the DAG buys -------------------------------------------------------
