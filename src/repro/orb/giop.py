@@ -9,14 +9,17 @@ Hot-path machinery (the encodings themselves are unchanged):
 
 - the constant 7-byte header (magic + version + message type) is
   precomputed once per message type and appended verbatim;
-- service contexts — usually empty or identical call after call — are
-  encoded once per (alignment, content) and replayed from a bounded
-  LRU instead of being re-encoded per message;
 - the spans of a message that repeat call after call (preamble,
   argument list, result) replay from exact-match LRUs.  Each cache
   below names the ``bench/`` workload that pays when it is ablated
   (``op_us_p50``, change -> ablated); the whole table, with the runs,
-  is in DESIGN.md "The flat codec and the payload span caches".
+  is in DESIGN.md "The flat codec and the payload span caches";
+- every lookup asks its cache's admission rule (``LRUCache.admit``)
+  *before* building a key and reports a miss once (``missed``): after
+  eight consecutive misses a cache is bypassed for up to 8 lookups in
+  9, so traffic that never repeats stops paying for most of the
+  freezes, hashes, probes and copies its keys cost.  A bypassed span
+  takes the ordinary path and counts as a miss.
 
 The codec does not time itself: ``bench/spans.py`` measures these four
 functions from outside.
@@ -71,6 +74,16 @@ _HEADER_SIZE = 7
 _REQUEST_PREFIX = _HEADER_WIRE[MSG_REQUEST] + b"\x00"
 _REPLY_PREFIX = _HEADER_WIRE[MSG_REPLY] + b"\x00"
 
+#: A reply's service-context map starts at byte 12, right after the id,
+#: so the usual empty one always encodes to these bytes.  Appending
+#: them skips the generic ``any`` writer, which an echo whose spans all
+#: replay would otherwise run for this map alone (≈ 1.5 µs a call).
+_encoder = CDREncoder()
+_encoder.write_raw(_REPLY_PREFIX + _pack_ulong(0))
+_encoder.write_any({})
+_NO_REPLY_CONTEXTS = _encoder.getvalue()[12:]
+del _encoder
+
 
 def _read_header(decoder: CDRDecoder) -> int:
     header = decoder.read_raw(_HEADER_SIZE)
@@ -82,23 +95,13 @@ def _read_header(decoder: CDRDecoder) -> int:
     return header[6]
 
 
-# -- service-context cache ---------------------------------------------
-
-#: Encoded service-context maps keyed by (buffer offset mod 8, frozen
-#: content).  The alignment is part of the key because the `any`
-#: encoding pads relative to the absolute offset.
-#: Ablation (PR 24): neutral on ``echo_hot`` / ``rt_pipelined`` /
-#: ``scenario_matrix`` and a *cost* on ``qos_bound`` (125.5 -> 118.4 us
-#: without it: the deadline context is unique per call, so every call
-#: freezes, hashes, misses and populates).  Kept for now — deleting it
-#: is a gain claim, which needs its own ten pairs (ROADMAP wire path).
-_context_cache = LRUCache(maxsize=256)
+# -- cache keys ----------------------------------------------------------
 
 _UNFREEZABLE = object()
 
 
 def _freeze(value: Any) -> Any:
-    """A hashable, type-tagged key for a context value, or _UNFREEZABLE.
+    """A hashable, type-tagged key for a plain value, or _UNFREEZABLE.
 
     Type tags keep 1, 1.0 and True — equal and same-hash in Python but
     encoded differently — from colliding in the cache.
@@ -139,24 +142,6 @@ def _freeze(value: Any) -> Any:
     return _UNFREEZABLE
 
 
-def _write_contexts(encoder: CDREncoder, contexts: Dict[str, Any]) -> None:
-    """write_any(contexts), replayed from cache when seen before."""
-    frozen = _freeze(contexts)
-    if frozen is _UNFREEZABLE:
-        encoder.write_any(contexts)
-        return
-    key = (len(encoder) % 8, frozen)
-    cached = _context_cache.get(key)
-    if cached is not None:
-        encoder.write_raw(cached)
-        COUNTERS.ctx_cache_hits += 1
-        return
-    mark = encoder.mark()
-    encoder.write_any(contexts)
-    _context_cache.put(key, encoder.bytes_since(mark))
-    COUNTERS.ctx_cache_misses += 1
-
-
 # -- request/reply preamble caches -------------------------------------
 #
 # Between the request id (always bytes 8..12: 7-byte header + 1 pad)
@@ -166,7 +151,11 @@ def _write_contexts(encoder: CDREncoder, contexts: Dict[str, Any]) -> None:
 # whole span keyed by the values; the decoder caches the parse keyed
 # by the exact bytes.  Both are exact-match caches, so the wire format
 # and the accepted inputs are unchanged — a miss simply takes the
-# field-by-field path below and populates the cache.
+# field-by-field path below and populates the cache; a lookup the
+# admission rule bypasses takes the same path and populates nothing.
+# The per-call deadline context of a ``ReliabilityMediator`` makes every
+# preamble unique, so on ``qos_bound`` these caches sit out their
+# miss streaks.
 
 #: Kept: without the encode-side replay ``echo_hot`` pays 37.2 -> 41.1
 #: us and ``scenario_matrix`` 77.5 -> 81.8 us per flow.
@@ -189,12 +178,15 @@ _reply_decode_cache = LRUCache(maxsize=256)
 # the tail slice *is* the span) and replay a plain-data copy, keeping
 # the caller's full ownership of mutable results.  Misses take the
 # ordinary element-by-element path and populate the cache, so the wire
-# format and the accepted inputs are unchanged.
+# format and the accepted inputs are unchanged.  Every span counts once
+# in ``COUNTERS.any_span_hits`` or ``any_span_misses``: probed, bypassed,
+# over ``_SPAN_LIMIT`` or decoded on the slow request path.
 
 #: Kept: ``echo_hot`` (one payload repeated) pays, one cache ablated at
 #: a time, 37.2 -> 46.7 / 54.4 / 47.6 / 52.7 us in this order, and 74.7
-#: with all four gone.  They are a *tax* where nothing repeats:
-#: ``echo_cold`` runs 131.0 -> 84.2 us without them (ROADMAP wire path).
+#: with all four gone.  Where nothing repeats they were a tax
+#: (``echo_cold`` 131.0 -> 84.2 us without them) until the admission
+#: rule, which bypasses them on a miss streak (DESIGN.md has the runs).
 _args_encode_cache = LRUCache(maxsize=256)
 _args_decode_cache = LRUCache(maxsize=256)
 _result_encode_cache = LRUCache(maxsize=256)
@@ -224,21 +216,23 @@ def _encode_span(
 ) -> None:
     """Append ``write(encoder, value)``'s bytes, replayed from ``cache``
     when this exact value tree was written at this alignment before."""
-    frozen = _freeze(value)
-    if frozen is _UNFREEZABLE:
-        write(encoder, value)
-        return
-    key = (len(encoder) % 8, frozen)
-    span = cache.get(key)
-    if span is not None:
-        encoder.write_raw(span)
-        COUNTERS.any_span_hits += 1
-        return
+    key = None
+    if cache.admit():
+        frozen = _freeze(value)
+        if frozen is not _UNFREEZABLE:
+            key = (len(encoder) % 8, frozen)
+            span = cache.get(key)
+            if span is not None:
+                encoder.write_raw(span)
+                COUNTERS.any_span_hits += 1
+                return
+        cache.missed()
     mark = encoder.mark()
     write(encoder, value)
-    span = encoder.bytes_since(mark)
-    if len(span) <= _SPAN_LIMIT:
-        cache.put(key, span)
+    if key is not None:
+        span = encoder.bytes_since(mark)
+        if len(span) <= _SPAN_LIMIT:
+            cache.put(key, span)
     COUNTERS.any_span_misses += 1
 
 
@@ -253,17 +247,22 @@ def _decode_span(
 
     The template is the cache's own copy and every hit hands out
     another: callers own (and may mutate) what they get.  It is stored
-    as a 1-tuple so a legitimate ``None`` still hits.
+    as a 1-tuple so a legitimate ``None`` still hits.  A tail longer
+    than ``_SPAN_LIMIT`` is never stored, so it is decoded without a
+    probe and does not count against the cache's admission rule.
     """
-    tail = data[offset:]
-    template = cache.get(tail)
-    if template is not None:
-        COUNTERS.any_span_hits += 1
-        return _copy_plain(template[0])
+    tail = None
+    if len(data) - offset <= _SPAN_LIMIT and cache.admit():
+        tail = data[offset:]
+        template = cache.get(tail)
+        if template is not None:
+            COUNTERS.any_span_hits += 1
+            return _copy_plain(template[0])
+        cache.missed()
     decoder = CDRDecoder(data)
     decoder._offset = offset
     value = read(decoder)
-    if len(tail) <= _SPAN_LIMIT:
+    if tail is not None:
         cache.put(tail, (_copy_plain(value),))
     COUNTERS.any_span_misses += 1
     return value
@@ -310,8 +309,8 @@ def _scalar_contexts(contexts: Dict[str, Any]) -> bool:
 
 
 def clear_caches() -> None:
-    """Drop the wire caches (tests and memory hygiene)."""
-    _context_cache.clear()
+    """Drop the wire caches and their admission state (tests and
+    memory hygiene)."""
     _request_preamble_cache.clear()
     _request_decode_cache.clear()
     _reply_decode_cache.clear()
@@ -336,20 +335,23 @@ def encode_request(request: Request) -> bytes:
     # identity keying is exact; _freeze covers the contexts).
     preamble = None
     key = None
-    frozen = _freeze(request.service_contexts)
-    if frozen is not _UNFREEZABLE:
-        key = (
-            request.target,
-            request.operation,
-            request.kind,
-            request.command_target,
-            request.response_expected,
-            frozen,
-        )
-        preamble = _request_preamble_cache.get(key)
+    if _request_preamble_cache.admit():
+        frozen = _freeze(request.service_contexts)
+        if frozen is not _UNFREEZABLE:
+            key = (
+                request.target,
+                request.operation,
+                request.kind,
+                request.command_target,
+                request.response_expected,
+                frozen,
+            )
+            preamble = _request_preamble_cache.get(key)
+        if preamble is None:
+            _request_preamble_cache.missed()
     if preamble is not None:
         encoder.write_raw(preamble)
-        # The replayed span embeds the cached context encoding.
+        # The replayed span embeds the context encoding.
         COUNTERS.ctx_cache_hits += 1
     else:
         mark = encoder.mark()
@@ -358,9 +360,10 @@ def encode_request(request: Request) -> bytes:
         encoder.write_string(request.kind)
         encoder.write_string(request.command_target or "")
         encoder.write_boolean(request.response_expected)
-        _write_contexts(encoder, request.service_contexts)
+        encoder.write_any(request.service_contexts)
         if key is not None:
             _request_preamble_cache.put(key, encoder.bytes_since(mark))
+        COUNTERS.ctx_cache_misses += 1
     _encode_span(encoder, _args_encode_cache, request.args, _write_args)
     return encoder.getvalue()
 
@@ -374,8 +377,13 @@ def decode_request(data: bytes) -> Request:
     # Exact-bytes fast path: probe the cached preamble parses at the
     # handful of span lengths this process has seen.  A hit replays
     # the already-validated fields; anything else (including malformed
-    # input) takes the field-by-field parse below.
-    if data[:_HEADER_SIZE] == _HEADER_WIRE[MSG_REQUEST]:
+    # input, and a lookup the admission rule bypasses) takes the
+    # field-by-field parse below.
+    probe = (
+        data[:_HEADER_SIZE] == _HEADER_WIRE[MSG_REQUEST]
+        and _request_decode_cache.admit()
+    )
+    if probe:
         for length in _request_decode_lengths:
             entry = _request_decode_cache.get(data[12 : 12 + length])
             if entry is not None:
@@ -392,6 +400,7 @@ def decode_request(data: bytes) -> Request:
                     response_expected=expected,
                     request_id=_unpack_ulong(data, 8)[0],
                 )
+        _request_decode_cache.missed()  # once, however many lengths
     decoder = CDRDecoder(data)
     if _read_header(decoder) != MSG_REQUEST:
         raise MARSHAL("expected a GIOP Request message")
@@ -406,7 +415,8 @@ def decode_request(data: bytes) -> Request:
         raise MARSHAL("service contexts must decode to a map")
     preamble_end = decoder._offset
     args = _read_args(decoder)
-    if _scalar_contexts(contexts):
+    COUNTERS.any_span_misses += 1  # the args span, decoded unprobed
+    if probe and _scalar_contexts(contexts):
         length = preamble_end - 12
         _request_decode_cache.put(
             data[12:preamble_end],
@@ -477,8 +487,11 @@ def encode_reply(
 ) -> bytes:
     """Flatten a reply: a result, a user exception or a system exception."""
     encoder = CDREncoder()
-    encoder.write_raw(_REPLY_PREFIX + _pack_ulong(request_id))
-    _write_contexts(encoder, service_contexts or {})
+    if service_contexts:
+        encoder.write_raw(_REPLY_PREFIX + _pack_ulong(request_id))
+        encoder.write_any(service_contexts)
+    else:
+        encoder.write_raw(_REPLY_PREFIX + _pack_ulong(request_id) + _NO_REPLY_CONTEXTS)
     if exception is None:
         _encode_span(encoder, _result_encode_cache, result, _write_result)
     elif isinstance(exception, UserException):
@@ -528,7 +541,11 @@ class Reply:
 def decode_reply(data: bytes) -> Reply:
     """Parse a reply message."""
     contexts = None
-    if data[:_HEADER_SIZE] == _HEADER_WIRE[MSG_REPLY]:
+    probe = (
+        data[:_HEADER_SIZE] == _HEADER_WIRE[MSG_REPLY]
+        and _reply_decode_cache.admit()
+    )
+    if probe:
         for length in _reply_decode_lengths:
             cached = _reply_decode_cache.get(data[12 : 12 + length])
             if cached is not None:
@@ -536,6 +553,8 @@ def decode_reply(data: bytes) -> Reply:
                 offset = 12 + length
                 request_id = _unpack_ulong(data, 8)[0]
                 break
+        else:
+            _reply_decode_cache.missed()  # once, however many lengths
     if contexts is None:
         decoder = CDRDecoder(data)
         if _read_header(decoder) != MSG_REPLY:
@@ -545,7 +564,7 @@ def decode_reply(data: bytes) -> Reply:
         if not isinstance(contexts, dict):
             raise MARSHAL("service contexts must decode to a map")
         offset = decoder._offset
-        if _scalar_contexts(contexts):
+        if probe and _scalar_contexts(contexts):
             length = offset - 12
             _reply_decode_cache.put(data[12:offset], dict(contexts))
             if (

@@ -52,6 +52,59 @@ class TestLRUCache:
         assert cache.get("a") == 10
         assert cache.get("b") == 2
 
+    # -- the admission rule ---------------------------------------------
+
+    @staticmethod
+    def _bypassed_after_miss(cache, probes=1):
+        """One admitted lookup that probes ``probes`` keys and finds
+        nothing; then count the lookups the rule bypasses."""
+        assert cache.admit()
+        for _ in range(probes):
+            assert cache.get(object()) is None
+        cache.missed()
+        skipped = 0
+        while not cache.admit():
+            skipped += 1
+        return skipped
+
+    def test_first_misses_never_skip(self):
+        cache = LRUCache(maxsize=4)
+        assert [self._bypassed_after_miss(cache) for _ in range(8)] == [0] * 8
+
+    def test_skip_length_follows_the_schedule_and_its_cap(self):
+        cache = LRUCache(maxsize=4)
+        skips = [self._bypassed_after_miss(cache) for _ in range(14)]
+        assert skips == [0] * 8 + [2, 4, 8, 8, 8, 8]
+        assert cache.misses == 14  # bypassed lookups are not probes
+
+    def test_a_lookup_counts_one_miss_however_many_keys_it_probes(self):
+        cache = LRUCache(maxsize=4)
+        skips = [self._bypassed_after_miss(cache, probes=16) for _ in range(10)]
+        assert skips == [0] * 8 + [2, 4]
+
+    def test_a_hit_resets_the_count(self):
+        cache = LRUCache(maxsize=4)
+        cache.put("a", 1)
+        for _ in range(12):
+            self._bypassed_after_miss(cache)
+        assert cache.get("a") == 1
+        assert [self._bypassed_after_miss(cache) for _ in range(9)] == [0] * 8 + [2]
+
+    def test_clear_resets_the_count(self):
+        cache = LRUCache(maxsize=4)
+        for _ in range(11):
+            self._bypassed_after_miss(cache)
+        cache.missed()  # opens an 8-lookup bypass
+        cache.clear()
+        assert cache.admit()
+        assert self._bypassed_after_miss(cache) == 0
+
+    def test_without_admit_it_is_a_plain_lru(self):
+        cache = LRUCache(maxsize=4)
+        for key in range(100):
+            assert cache.get(key) is None
+        assert cache.admit()
+
 
 class TestPerfCounters:
     def test_one_field_table_drives_slots_reset_and_snapshot(self):
@@ -156,9 +209,11 @@ class TestWireStats:
         for _ in range(10):
             stub.echo("payload")
         # Steady-state: the same target IOR and the same (empty) service
-        # contexts recur, so both caches should be mostly hits.
+        # contexts recur, so the IOR parse and the request preamble
+        # replay; ``ctx_cache_*`` counts exactly those preamble replays
+        # (one first-call miss on the client, nine hits).
         assert COUNTERS.ior_parse_hits > COUNTERS.ior_parse_misses
-        assert COUNTERS.ctx_cache_hits > COUNTERS.ctx_cache_misses
+        assert (COUNTERS.ctx_cache_hits, COUNTERS.ctx_cache_misses) == (9, 1)
 
 
 class TestModuleSnapshot:
