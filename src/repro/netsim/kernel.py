@@ -13,7 +13,8 @@ scenario, so the drain loop is tuned):
 - the heap stores ``(time, seq, event)`` tuples, not the events
   themselves, so every ``heappop`` sift comparison is a C-level tuple
   compare — a 200k-event drain used to spend most of its time in 3.3M
-  Python-level ``Event.__lt__`` calls;
+  Python-level event comparisons.  ``seq`` is unique, so no comparison
+  ever reaches the event, which therefore defines no ordering;
 - ``run``/``run_until`` drain inline with the pop, the cancelled check
   and the clock advance in one loop body instead of a ``step()`` call
   per event;
@@ -79,11 +80,6 @@ class Event:
             self.cancelled = True
             if self.kernel is not None:
                 self.kernel._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        # Kept for ordering compatibility (the heap itself compares the
-        # (time, seq) tuple prefix and never reaches the event object).
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -162,24 +158,6 @@ class EventKernel:
             "cancelled_peak": self._cancelled_peak,
         }
 
-    def next_event_time(self) -> Optional[float]:
-        """Due time of the earliest live event, or None when drained.
-
-        The conservative-synchronization window planner of the sharded
-        kernel polls this between barriers; dead heap entries at the
-        head are popped on the way so repeated peeks stay cheap.
-        """
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if head[2].cancelled:
-                heapq.heappop(queue)
-                if self._cancelled_pending:
-                    self._cancelled_pending -= 1
-                continue
-            return head[0]
-        return None
-
     def schedule(
         self,
         delay: float,
@@ -189,7 +167,7 @@ class EventKernel:
         **kwargs: Any,
     ) -> Event:
         """Schedule ``fn(*args, **kwargs)`` to run ``delay`` seconds from now."""
-        if delay < 0.0:
+        if not delay >= 0.0:
             raise KernelError(f"cannot schedule in the past (delay={delay})")
         return self.schedule_at(self.clock.now + delay, fn, *args, label=label, **kwargs)
 
@@ -202,7 +180,7 @@ class EventKernel:
         **kwargs: Any,
     ) -> Event:
         """Schedule ``fn`` at an absolute simulated time."""
-        if time < self.clock.now:
+        if not time >= self.clock.now:
             raise KernelError(
                 f"cannot schedule at {time} before current time {self.clock.now}"
             )
@@ -279,41 +257,12 @@ class EventKernel:
         events: List[Event] = []
         entries: List[Tuple[float, int, Event]] = []
         for time in times:
-            if time < now:
+            if not time >= now:
                 raise KernelError(
                     f"cannot schedule at {time} before current time {now}"
                 )
             seq = next_seq()
             event = Event(time, seq, fn, shared_args, _NO_KWARGS, name, self)
-            events.append(event)
-            entries.append((time, seq, event))
-        self._push_bulk(entries)
-        return events
-
-    def schedule_iter(
-        self,
-        times: Iterable[float],
-        fn: Callable[..., Any],
-        label: str = "",
-    ) -> List[Event]:
-        """Schedule ``fn(t)`` at every absolute time in ``times``.
-
-        Convenience for arrival processes: the callback receives the
-        arrival instant as its single argument.  Shares the bulk merge
-        path of :meth:`schedule_many`.
-        """
-        now = self.clock.now
-        name = label or fn.__name__
-        next_seq = self._seq.__next__
-        events: List[Event] = []
-        entries: List[Tuple[float, int, Event]] = []
-        for time in times:
-            if time < now:
-                raise KernelError(
-                    f"cannot schedule at {time} before current time {now}"
-                )
-            seq = next_seq()
-            event = Event(time, seq, fn, (time,), _NO_KWARGS, name, self)
             events.append(event)
             entries.append((time, seq, event))
         self._push_bulk(entries)
@@ -369,68 +318,21 @@ class EventKernel:
         fired = 0
         try:
             while queue:
-                head = queue[0]
-                if head[2].cancelled:
+                time, _seq, event = queue[0]
+                if event.cancelled:
                     pop(queue)
                     if self._cancelled_pending:
                         self._cancelled_pending -= 1
                     continue
-                time = head[0]
                 if time > deadline:
                     break
-                entry = pop(queue)
-                event = entry[2]
-                if event.cancelled:
-                    # Cancelled between the peek and the pop is
-                    # impossible today (single-threaded), but a
-                    # compaction inside the callback below may have
-                    # reordered the heap; stay defensive.
-                    if self._cancelled_pending:
-                        self._cancelled_pending -= 1
-                    continue
-                advance_to(entry[0])
+                pop(queue)
+                advance_to(time)
                 event.fn(*event.args, **event.kwargs)
                 fired += 1
         finally:
             self._events_fired += fired
         self.clock.advance_to(deadline)
-        return fired
-
-    def run_before(self, deadline: float) -> int:
-        """Fire all events strictly before ``deadline``; returns the count.
-
-        The window-drain primitive of the sharded kernel: an event at
-        exactly ``deadline`` may still be affected by messages produced
-        during the window, so it must wait for the barrier.  Unlike
-        :meth:`run_until` the clock is left at the last fired event —
-        barrier-time message injection needs ``schedule_at`` to accept
-        any time inside the *next* window.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        advance_to = self.clock.advance_to
-        fired = 0
-        try:
-            while queue:
-                head = queue[0]
-                if head[2].cancelled:
-                    pop(queue)
-                    if self._cancelled_pending:
-                        self._cancelled_pending -= 1
-                    continue
-                if head[0] >= deadline:
-                    break
-                entry = pop(queue)
-                event = entry[2]
-                if event.cancelled:
-                    if self._cancelled_pending:
-                        self._cancelled_pending -= 1
-                    continue
-                advance_to(entry[0])
-                event.fn(*event.args, **event.kwargs)
-                fired += 1
-        finally:
-            self._events_fired += fired
         return fired
 
     def every(
@@ -449,7 +351,7 @@ class EventKernel:
         own shutdown flag.  The recurrence stops automatically once the
         next occurrence would land after ``until``.
         """
-        if period <= 0.0:
+        if not period > 0.0:
             raise KernelError(f"period must be positive: {period}")
 
         def tick() -> None:

@@ -8,8 +8,10 @@ minimum latency of any link crossing the shard cut.  A message sent
 during a window can, by construction, only be received in a later
 window, so every shard may process its window independently and all
 cross-shard traffic is exchanged at the barrier.  When the topology
-offers no lookahead (a zero-latency cut link) the kernel transparently
-falls back to the serial :class:`~repro.netsim.kernel.EventKernel`.
+offers no lookahead (a zero-latency cut link), or one shard is asked
+for, the same barrier loop drains a single :class:`ShardRuntime` that
+owns every host — the serial fallback is a one-shard run, not a second
+engine.
 
 The kernel is a policy/mechanism seam in the sense of the paper:
 workloads describe *what* happens (handlers on hosts, messages between

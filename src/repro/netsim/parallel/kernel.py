@@ -14,14 +14,17 @@ Synchronization protocol (classic conservative PDES, BSP-shaped):
 4. barrier: exchange outboxes, deliver each message into its owner's
    heap, go to 1.
 
-Two backends execute the protocol: ``inline`` runs every shard in this
-process (windows become loop iterations — no IPC, deterministic, and
-the right choice on one core), ``process`` fans shards out to spawned
-``multiprocessing`` workers and runs the same barrier over pipes.  The
-kernel *transparently falls back to the serial*
-:class:`~repro.netsim.kernel.EventKernel` drain when the plan has zero
-lookahead (a zero-latency cut link would force zero-width windows) or
-when the caller demands strict single-heap determinism.
+One loop (:meth:`ShardedKernel._drain`) runs the protocol for every
+mode; it sees each shard through a two-phase handle — ``start`` the
+window on every shard, then ``finish`` every shard — so the backends
+differ only in what a handle is.  ``inline`` handles are the
+:class:`ShardRuntime` objects themselves (windows become loop
+iterations: no IPC, deterministic, the right choice on one core);
+``process`` handles are pipe proxies to spawned ``multiprocessing``
+workers, which run their windows concurrently between the two phases.
+When the plan has one shard or zero lookahead (a zero-latency cut link
+would force zero-width windows) the kernel falls back to *serial*: one
+runtime owns every host and the loop drains it in a single window.
 """
 
 from __future__ import annotations
@@ -29,20 +32,12 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.netsim.kernel import EventKernel, KernelError
-from repro.netsim.parallel.messages import CrossShardMessage, handler_ref
+from repro.netsim.kernel import KernelError
+from repro.netsim.parallel.messages import CrossShardMessage
 from repro.netsim.parallel.plan import ShardPlan, ShardPlanner, TopologySpec
-from repro.netsim.parallel.shard import (
-    Handler,
-    SerialScenarioDriver,
-    ShardRuntime,
-)
+from repro.netsim.parallel.shard import Handler, ShardRuntime, _as_ref
 
 __all__ = ["ShardedKernel"]
-
-
-def _as_ref(handler: Handler) -> str:
-    return handler if isinstance(handler, str) else handler_ref(handler)
 
 
 def _worker_main(conn: Any, shard_id: int, hosts: List[str],
@@ -55,26 +50,57 @@ def _worker_main(conn: Any, shard_id: int, hosts: List[str],
     for time, host, ref, payload in initial:
         runtime.post(time, host, ref, payload)
     try:
+        conn.send(runtime.next_event_time())
         while True:
             message = conn.recv()
-            op = message[0]
-            if op == "window":
+            if message[0] == "window":
                 _, window_end, inbox = message
                 runtime.deliver(inbox)
-                fired = runtime.run_window(window_end)
-                conn.send(
-                    ("done", runtime.next_event_time(),
-                     runtime.take_outbox(), fired)
-                )
-            elif op == "peek":
-                conn.send(("time", runtime.next_event_time()))
-            elif op == "finish":
-                conn.send(("result", runtime.trace, runtime.stats()))
+                runtime.start(window_end)
+                fired, outbox = runtime.finish()
+                conn.send((fired, outbox, runtime.next_event_time()))
+            else:
+                conn.send(runtime.results())
                 return
-            else:  # pragma: no cover - protocol guard
-                raise KernelError(f"unknown worker op: {op!r}")
     finally:
         conn.close()
+
+
+class _WorkerShard:
+    """The coordinator's handle on one spawned worker.
+
+    ``start`` only sends and ``finish`` only receives, so every worker
+    runs its window while the coordinator is still starting the others.
+    Messages delivered at a barrier wait here until the next ``start``;
+    until then they count towards this shard's head time.
+    """
+
+    def __init__(self, conn: Any) -> None:
+        self._conn = conn
+        self._head: Optional[float] = conn.recv()
+        self._inbox: List[CrossShardMessage] = []
+
+    def next_event_time(self) -> Optional[float]:
+        head = self._head
+        for message in self._inbox:
+            if head is None or message.time < head:
+                head = message.time
+        return head
+
+    def deliver(self, messages: List[CrossShardMessage]) -> None:
+        self._inbox.extend(messages)
+
+    def start(self, window_end: float) -> None:
+        self._conn.send(("window", window_end, self._inbox))
+        self._inbox = []
+
+    def finish(self) -> Tuple[int, List[CrossShardMessage]]:
+        fired, outbox, self._head = self._conn.recv()
+        return fired, outbox
+
+    def results(self) -> Tuple[List[Tuple[float, str, str, str]], Dict[str, Any]]:
+        self._conn.send(("results",))
+        return self._conn.recv()
 
 
 class ShardedKernel:
@@ -97,7 +123,6 @@ class ShardedKernel:
         backend: str = "inline",
         seed: int = 0,
         trace: bool = False,
-        strict_determinism: bool = False,
         plan: Optional[ShardPlan] = None,
     ) -> None:
         if backend not in ("inline", "process"):
@@ -108,13 +133,8 @@ class ShardedKernel:
         self.trace_enabled = trace
         self.plan = plan if plan is not None else ShardPlanner(topology).plan(shards)
         #: Serial fallback: zero lookahead makes conservative windows
-        #: zero-width (no progress possible), and strict determinism
-        #: asks for the single-heap ordering by definition.
-        self.serial = (
-            self.plan.shards <= 1
-            or self.plan.lookahead <= 0.0
-            or strict_determinism
-        )
+        #: zero-width (no progress possible).
+        self.serial = self.plan.shards <= 1 or self.plan.lookahead <= 0.0
         self._pending: List[Tuple[float, str, str, Any]] = []
         self._trace: List[Tuple[float, str, str, str]] = []
         self._stats: Dict[str, Any] = {}
@@ -130,7 +150,7 @@ class ShardedKernel:
             raise KernelError("kernel already ran; build a new one")
         if host not in self.topology._adjacency:
             raise KernelError(f"unknown host: {host!r}")
-        if time < 0.0:
+        if not time >= 0.0:
             raise KernelError(f"cannot schedule before time zero: {time}")
         self._pending.append((time, host, _as_ref(handler), payload))
 
@@ -139,58 +159,21 @@ class ShardedKernel:
     def run(self, until: Optional[float] = None) -> int:
         """Drain the event space; returns the number of events fired.
 
-        ``until`` bounds the run to events strictly before that time,
-        mirroring :meth:`EventKernel.run_before`.
+        ``until`` bounds the run to events strictly before that time.
         """
         if self._ran:
             raise KernelError("kernel already ran; build a new one")
         self._ran = True
         if self.serial:
-            return self._run_serial(until)
+            runtime = ShardRuntime(
+                0, set(self.topology.hosts), self.topology, float("inf"),
+                seed=self.seed, trace=self.trace_enabled,
+            )
+            for entry in self._pending:
+                runtime.post(*entry)
+            return self._drain([runtime], float("inf"), until)
         if self.backend == "process":
             return self._run_process(until)
-        return self._run_inline(until)
-
-    def _effective_mode(self) -> str:
-        return "serial" if self.serial else self.backend
-
-    def _finish_stats(
-        self,
-        shard_stats: List[Dict[str, Any]],
-        barriers: int,
-        fired: int,
-    ) -> None:
-        self._stats = {
-            "backend": self._effective_mode(),
-            "shards": len(shard_stats),
-            "planned_shards": self.plan.shards,
-            "lookahead": self.plan.lookahead,
-            "fallback_serial": self.serial,
-            "cut_links": self.plan.cut_links,
-            "barriers": barriers,
-            "barrier_waits": sum(s["windows_run"] for s in shard_stats),
-            "events_fired": fired,
-            "events_per_shard": [s["events_fired"] for s in shard_stats],
-            "cross_messages": sum(s["cross_sent"] for s in shard_stats),
-        }
-
-    def _run_serial(self, until: Optional[float]) -> int:
-        """The transparent fallback: every host on one serial EventKernel."""
-        driver = SerialScenarioDriver(
-            EventKernel(), self.topology,
-            seed=self.seed, trace=self.trace_enabled,
-        )
-        for time, host, ref, payload in self._pending:
-            driver.post(time, host, ref, payload)
-        if until is None:
-            fired = driver.kernel.run()
-        else:
-            fired = driver.kernel.run_before(until)
-        self._trace = driver.trace
-        self._finish_stats([driver.stats()], 0, fired)
-        return fired
-
-    def _build_runtimes(self) -> List[ShardRuntime]:
         runtimes = [
             ShardRuntime(
                 shard, set(self.plan.members(shard)), self.topology,
@@ -200,20 +183,20 @@ class ShardedKernel:
             for shard in range(self.plan.shards)
         ]
         owner = self.plan.assignment
-        for time, host, ref, payload in self._pending:
-            runtimes[owner[host]].post(time, host, ref, payload)
-        return runtimes
+        for entry in self._pending:
+            runtimes[owner[entry[1]]].post(*entry)
+        return self._drain(runtimes, self.plan.lookahead, until)
 
-    def _run_inline(self, until: Optional[float]) -> int:
-        runtimes = self._build_runtimes()
+    def _drain(self, shards: List[Any], lookahead: float,
+               until: Optional[float]) -> int:
+        """The barrier loop, over ``ShardRuntime`` or ``_WorkerShard`` handles."""
         owner = self.plan.assignment
-        lookahead = self.plan.lookahead
-        barriers = 0
+        windows = 0
         fired = 0
         while True:
             gvt: Optional[float] = None
-            for runtime in runtimes:
-                head = runtime.next_event_time()
+            for shard in shards:
+                head = shard.next_event_time()
                 if head is not None and (gvt is None or head < gvt):
                     gvt = head
             if gvt is None or (until is not None and gvt >= until):
@@ -221,22 +204,36 @@ class ShardedKernel:
             window_end = gvt + lookahead
             if until is not None and window_end > until:
                 window_end = until
-            for runtime in runtimes:
-                fired += runtime.run_window(window_end)
-            barriers += 1
-            inboxes: List[List[CrossShardMessage]] = [[] for _ in runtimes]
-            for runtime in runtimes:
-                for message in runtime.take_outbox():
+            for shard in shards:
+                shard.start(window_end)
+            windows += 1
+            inboxes: List[List[CrossShardMessage]] = [[] for _ in shards]
+            for shard in shards:
+                shard_fired, outbox = shard.finish()
+                fired += shard_fired
+                for message in outbox:
                     inboxes[owner[message.host]].append(message)
-            for runtime, inbox in zip(runtimes, inboxes):
+            for shard, inbox in zip(shards, inboxes):
                 if inbox:
-                    runtime.deliver(inbox)
+                    shard.deliver(inbox)
+        results = [shard.results() for shard in shards]
         if self.trace_enabled:
-            trace: List[Tuple[float, str, str, str]] = []
-            for runtime in runtimes:
-                trace.extend(runtime.trace)
-            self._trace = trace
-        self._finish_stats([r.stats() for r in runtimes], barriers, fired)
+            self._trace = [entry for trace, _ in results for entry in trace]
+        # One shard exchanges nothing: its windows are not barriers.
+        barriers = windows if len(shards) > 1 else 0
+        self._stats = {
+            "backend": "serial" if self.serial else self.backend,
+            "shards": len(shards),
+            "planned_shards": self.plan.shards,
+            "lookahead": self.plan.lookahead,
+            "fallback_serial": self.serial,
+            "cut_links": self.plan.cut_links,
+            "barriers": barriers,
+            "barrier_waits": barriers * len(shards),
+            "events_fired": fired,
+            "events_per_shard": [stats["events_fired"] for _, stats in results],
+            "cross_messages": sum(stats["cross_sent"] for _, stats in results),
+        }
         return fired
 
     def _run_process(self, until: Optional[float]) -> int:
@@ -244,22 +241,20 @@ class ShardedKernel:
 
         mp = multiprocessing.get_context("spawn")
         owner = self.plan.assignment
-        lookahead = self.plan.lookahead
-        shards = self.plan.shards
         initial: List[List[Tuple[float, str, str, Any]]] = [
-            [] for _ in range(shards)
+            [] for _ in range(self.plan.shards)
         ]
         for entry in self._pending:
             initial[owner[entry[1]]].append(entry)
         pipes = []
         workers = []
         try:
-            for shard in range(shards):
+            for shard in range(self.plan.shards):
                 parent, child = mp.Pipe()
                 worker = mp.Process(
                     target=_worker_main,
                     args=(child, shard, self.plan.members(shard),
-                          self.topology, lookahead, self.seed,
+                          self.topology, self.plan.lookahead, self.seed,
                           self.trace_enabled, initial[shard]),
                     daemon=True,
                 )
@@ -267,48 +262,8 @@ class ShardedKernel:
                 child.close()
                 pipes.append(parent)
                 workers.append(worker)
-            for pipe in pipes:
-                pipe.send(("peek",))
-            heads: List[Optional[float]] = [pipe.recv()[1] for pipe in pipes]
-            inboxes: List[List[CrossShardMessage]] = [[] for _ in range(shards)]
-            barriers = 0
-            fired = 0
-            while True:
-                gvt: Optional[float] = None
-                for head in heads:
-                    if head is not None and (gvt is None or head < gvt):
-                        gvt = head
-                for inbox in inboxes:
-                    for message in inbox:
-                        if gvt is None or message.time < gvt:
-                            gvt = message.time
-                if gvt is None or (until is not None and gvt >= until):
-                    break
-                window_end = gvt + lookahead
-                if until is not None and window_end > until:
-                    window_end = until
-                for pipe, inbox in zip(pipes, inboxes):
-                    pipe.send(("window", window_end, inbox))
-                inboxes = [[] for _ in range(shards)]
-                for index, pipe in enumerate(pipes):
-                    _, head, outbox, shard_fired = pipe.recv()
-                    heads[index] = head
-                    fired += shard_fired
-                    for message in outbox:
-                        inboxes[owner[message.host]].append(message)
-                barriers += 1
-            for pipe in pipes:
-                pipe.send(("finish",))
-            shard_stats = []
-            trace: List[Tuple[float, str, str, str]] = []
-            for pipe in pipes:
-                _, worker_trace, stats = pipe.recv()
-                trace.extend(worker_trace)
-                shard_stats.append(stats)
-            if self.trace_enabled:
-                self._trace = trace
-            self._finish_stats(shard_stats, barriers, fired)
-            return fired
+            handles = [_WorkerShard(pipe) for pipe in pipes]
+            return self._drain(handles, self.plan.lookahead, until)
         finally:
             for pipe in pipes:
                 pipe.close()

@@ -22,7 +22,9 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-__all__ = ["LinkSpec", "TopologySpec", "ShardPlan", "ShardPlanner"]
+__all__ = [
+    "LinkSpec", "TopologySpec", "ShardPlan", "ShardPlanner", "cluster_layout",
+]
 
 
 class LinkSpec(Tuple[str, str, float, float]):
@@ -59,6 +61,42 @@ class LinkSpec(Tuple[str, str, float, float]):
     @property
     def bandwidth_bps(self) -> float:
         return self[3]
+
+
+def cluster_layout(
+    clusters: int,
+    hosts_per_cluster: int,
+    intra_latency: float,
+    inter_latency: float,
+    bandwidth_bps: float = 100e6,
+) -> Tuple[List[str], List[LinkSpec]]:
+    """Islands of fully meshed hosts joined by a ring of gateway trunks.
+
+    Cluster ``c`` holds hosts ``c{c:02d}h00``, ``c{c:02d}h01``, ...;
+    its first host is the gateway.  Hosts come cluster by cluster;
+    links come as each island's mesh in host order, then the ring
+    ``g0-g1, g1-g2, ...``, closed by ``g_last-g0`` when more than two
+    clusters make that a new link.
+    """
+    hosts: List[str] = []
+    links: List[LinkSpec] = []
+    gateways: List[str] = []
+    for c in range(clusters):
+        members = [f"c{c:02d}h{h:02d}" for h in range(hosts_per_cluster)]
+        hosts.extend(members)
+        gateways.append(members[0])
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                links.append(LinkSpec(a, b, intra_latency, bandwidth_bps))
+    for c in range(1, clusters):
+        links.append(
+            LinkSpec(gateways[c - 1], gateways[c], inter_latency, bandwidth_bps)
+        )
+    if clusters > 2:
+        links.append(
+            LinkSpec(gateways[-1], gateways[0], inter_latency, bandwidth_bps)
+        )
+    return hosts, links
 
 
 class TopologySpec:

@@ -18,17 +18,21 @@ must manage:
   in the outbox, drained by the coordinator at the next barrier;
 - *window draining*: :meth:`run_window` fires strictly-before the
   window end, so an event at exactly ``W + lookahead`` still sees
-  every message produced during the window starting at ``W``;
+  every message produced during the window starting at ``W``.
+  :meth:`start` and :meth:`finish` wrap it in the two-phase handle the
+  coordinator's barrier loop drives (a spawned worker's pipe proxy has
+  the same two methods);
 - *tracing*: optional per-event trace entries whose canonical (sorted)
   order is independent of the shard count, so a SHA-256 digest over
   them compares serial and sharded runs bit-for-bit.
 
 :class:`SerialScenarioDriver` runs the same handler programs on any
 *serial* event kernel — in practice
-:class:`~repro.netsim.kernel.EventKernel`, the sharded kernel's
-fallback engine and the ``kernel_soak`` workload of ``bench/``.  It
+:class:`~repro.netsim.kernel.EventKernel`, which is how the
+``kernel_soak`` workload of ``bench/`` measures that kernel.  It
 implements the same runtime protocol, so handlers cannot tell the
-difference.
+difference.  (The sharded kernel's own serial fallback is a single
+:class:`ShardRuntime` owning every host.)
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ class ShardContext:
         self, delay: float, host: str, handler: Handler, payload: Any = None
     ) -> None:
         """Run ``handler`` on ``host`` after ``delay`` seconds."""
-        if delay < 0.0:
+        if not delay >= 0.0:
             raise KernelError(f"cannot schedule in the past (delay={delay})")
         runtime = self._runtime
         runtime.post(runtime.now + delay, host, _as_ref(handler), payload)
@@ -168,10 +172,9 @@ class ShardRuntime(_HostStateMixin):
         self.trace: List[Tuple[float, str, str, str]] = []
         self.cross_sent = 0
         self.cross_received = 0
-        self.windows_run = 0
+        self._window_fired = 0
         self._state: Dict[str, Dict[str, Any]] = {}
         self._rngs: Dict[str, random.Random] = {}
-        self._ctx = ShardContext(self)
 
     # -- event flow ----------------------------------------------------
 
@@ -215,7 +218,10 @@ class ShardRuntime(_HostStateMixin):
     def run_window(self, window_end: float) -> int:
         """Fire every event strictly before ``window_end``."""
         heap = self._heap
-        ctx = self._ctx
+        # A context per window, not per runtime: a runtime that held its
+        # context would sit in a reference cycle, keeping its trace alive
+        # after the run until the cycle collector happened to run.
+        ctx = ShardContext(self)
         trace = self.trace if self.trace_enabled else None
         resolve = resolve_handler
         fired = 0
@@ -234,20 +240,27 @@ class ShardRuntime(_HostStateMixin):
             resolve(ref)(ctx, head[4])
             fired += 1
         self.events_fired += fired
-        self.windows_run += 1
         return fired
 
-    def take_outbox(self) -> List[CrossShardMessage]:
+    def start(self, window_end: float) -> None:
+        """Phase one of a barrier window: run it."""
+        self._window_fired = self.run_window(window_end)
+
+    def finish(self) -> Tuple[int, List[CrossShardMessage]]:
+        """Phase two: the window's event count and the drained outbox."""
         outbox = self.outbox
         self.outbox = []
-        return outbox
+        return self._window_fired, outbox
+
+    def results(self) -> Tuple[List[Tuple[float, str, str, str]], Dict[str, Any]]:
+        """The trace and the stats, once the run is over."""
+        return self.trace, self.stats()
 
     def stats(self) -> Dict[str, Any]:
         return {
             "shard": self.shard_id,
             "hosts": len(self.hosts),
             "events_fired": self.events_fired,
-            "windows_run": self.windows_run,
             "cross_sent": self.cross_sent,
             "cross_received": self.cross_received,
         }
@@ -258,9 +271,8 @@ class SerialScenarioDriver(_HostStateMixin):
 
     ``kernel`` needs only ``schedule_at(time, fn, *args)``, ``run()``
     and a ``clock`` with ``now`` — which
-    :class:`~repro.netsim.kernel.EventKernel` provides.  The sharded
-    kernel's serial fallback is exactly this driver over an
-    ``EventKernel``.
+    :class:`~repro.netsim.kernel.EventKernel` provides.  Its unsorted
+    trace is the one the sharded kernel's serial fallback writes.
     """
 
     def __init__(
@@ -308,13 +320,3 @@ class SerialScenarioDriver(_HostStateMixin):
 
     def run(self) -> int:
         return self.kernel.run()
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "shard": 0,
-            "hosts": len(self.topology.hosts),
-            "events_fired": getattr(self.kernel, "events_fired", 0),
-            "windows_run": 0,
-            "cross_sent": 0,
-            "cross_received": 0,
-        }

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.netsim.network import NoRoute
 from repro.orb import World
 from repro.orb.ior import GROUP_TAG, IOR, TaggedComponent
 from repro.orb.modules.base import binding_key
@@ -25,7 +26,7 @@ from repro.orb.servant import Servant
 from repro.orb.stub import Stub
 from repro.perf import COUNTERS
 from repro.qos.fault_tolerance.replica_group import ReplicaGroupManager
-from repro.scenario.spec import Spec, SpecError
+from repro.scenario.spec import ClusterSpec, Spec, SpecError
 from repro.workloads.apps import make_compute_servant_class
 
 __all__ = ["Deployment", "StackConfig", "build_deployment", "DEFAULT_STACKS"]
@@ -193,28 +194,16 @@ class Deployment:
         if spec.clusters is not None:
             self._build_clusters(spec.clusters)
 
-    def _build_clusters(self, layout: Any) -> None:
+    def _build_clusters(self, layout: ClusterSpec) -> None:
         """The soak fabric: intra-cluster LANs, gateway (h00) ring."""
-        gateways = []
-        for c in range(layout.clusters):
-            names = [
-                f"c{c:02d}h{h:02d}" for h in range(layout.hosts_per_cluster)
-            ]
-            self.world.lan(
-                names,
-                latency=layout.intra_latency,
-                bandwidth_bps=layout.bandwidth_bps,
-            )
-            gateways.append(names[0])
-        for index, gateway in enumerate(gateways):
-            nxt = gateways[(index + 1) % len(gateways)]
-            if gateway != nxt:
-                try:
-                    self.world.network.link_between(gateway, nxt)
-                except Exception:
-                    self.world.connect(
-                        gateway, nxt, layout.inter_latency, layout.bandwidth_bps
-                    )
+        hosts, links = layout.layout()
+        for host in hosts:
+            self.world.add_host(host)
+        for link in links:
+            try:
+                self.world.network.link_between(link.a, link.b)
+            except NoRoute:
+                self.world.connect(link.a, link.b, link.latency, link.bandwidth_bps)
 
     # -- serving group --------------------------------------------------
 

@@ -298,17 +298,13 @@ def _run_txn(spec: Spec, deployment: Deployment) -> ScenarioResult:
     return result
 
 
-def _run_shard(
-    spec: Spec, stack_name: str, shards: int, backend: str
-) -> ScenarioResult:
+def _run_shard(spec: Spec, stack_name: str, shards: int) -> ScenarioResult:
     """The ON/OFF handler program on the sharded kernel."""
     from repro.netsim.parallel.kernel import ShardedKernel
     from repro.scenario import shardtraffic
 
     topology = shardtraffic.topology_from_spec(spec)
-    kernel = ShardedKernel(
-        topology, shards=shards, backend=backend, seed=spec.seed, trace=True
-    )
+    kernel = ShardedKernel(topology, shards=shards, seed=spec.seed, trace=True)
     shardtraffic.schedule_traffic(kernel, spec)
     kernel.run()
     result = ScenarioResult(spec.name, stack_name, spec.tier)
@@ -392,12 +388,11 @@ def run_scenario(
     spec: Spec,
     stack: Optional[StackConfig] = None,
     shards: int = 1,
-    backend: str = "inline",
 ) -> ScenarioResult:
     """Run one scenario under one stack; returns the judged result."""
     if spec.tier == "shard":
         name = stack.name if stack is not None else "spec"
-        result = _run_shard(spec, name, shards, backend)
+        result = _run_shard(spec, name, shards)
         reliability = False
     else:
         deployment = build_deployment(spec, stack)

@@ -4,7 +4,8 @@ The same harpoon-style heavy-tailed sessions
 (:mod:`repro.scenario.traffic`) expressed against the parallel
 kernel's handler API, so a scenario spec with ``tier = "shard"`` runs
 unchanged on the sharded kernel (any shard count, inline or process
-backend), its serial fallback, or a plain event kernel through
+backend; one shard is the serial fallback, drained by the same barrier
+loop) or on a plain event kernel through
 :class:`~repro.netsim.parallel.shard.SerialScenarioDriver`.
 
 Determinism across shard counts is the whole point, so the program
@@ -49,32 +50,7 @@ def topology_from_spec(spec: Any) -> TopologySpec:
             for client in cohort.client_names()
         )
     if spec.clusters is not None:
-        layout = spec.clusters
-        gateways = []
-        for c in range(layout.clusters):
-            members = [
-                f"c{c:02d}h{h:02d}" for h in range(layout.hosts_per_cluster)
-            ]
-            gateways.append(members[0])
-            for i, a in enumerate(members):
-                links.extend(
-                    LinkSpec(a, b, layout.intra_latency, layout.bandwidth_bps)
-                    for b in members[i + 1:]
-                )
-        for c in range(1, len(gateways)):
-            links.append(
-                LinkSpec(
-                    gateways[c - 1], gateways[c],
-                    layout.inter_latency, layout.bandwidth_bps,
-                )
-            )
-        if len(gateways) > 2:
-            links.append(
-                LinkSpec(
-                    gateways[-1], gateways[0],
-                    layout.inter_latency, layout.bandwidth_bps,
-                )
-            )
+        links.extend(spec.clusters.layout()[1])
     return TopologySpec(hosts, links)
 
 

@@ -18,6 +18,8 @@ import fnmatch
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.netsim.parallel.plan import LinkSpec as TopologyLink
+from repro.netsim.parallel.plan import cluster_layout
 from repro.scenario.chaos import Campaign, ChaosError
 
 __all__ = [
@@ -114,6 +116,13 @@ class ClusterSpec:
     intra_latency: float = 0.0005
     inter_latency: float = 0.004
     bandwidth_bps: float = 100e6
+
+    def layout(self) -> Tuple[List[str], List[TopologyLink]]:
+        """Host names and links, see :func:`cluster_layout`."""
+        return cluster_layout(
+            self.clusters, self.hosts_per_cluster,
+            self.intra_latency, self.inter_latency, self.bandwidth_bps,
+        )
 
 
 # -- stacks ---------------------------------------------------------------
@@ -245,12 +254,7 @@ class Spec:
         for cohort in self.cohorts:
             names.extend(cohort.client_names())
         if self.clusters is not None:
-            spec = self.clusters
-            names.extend(
-                f"c{c:02d}h{h:02d}"
-                for c in range(spec.clusters)
-                for h in range(spec.hosts_per_cluster)
-            )
+            names.extend(self.clusters.layout()[0])
         return names
 
     def expand_hosts(self, patterns: Sequence[str], section: str) -> List[str]:

@@ -5,12 +5,14 @@ The scenario is written against the parallel kernel's handler API
 :mod:`repro.netsim.parallel`), which makes it runnable unchanged on
 
 - the sharded kernel, inline or process backend;
-- the serial fallback; and
+- its serial fallback (one shard runtime owning every host); and
 - *any* serial event kernel through :class:`SerialScenarioDriver`.
 
 Shape: ``clusters`` islands of ``hosts_per_cluster`` hosts, densely
 meshed inside (low latency) and joined by a sparse ring of
-higher-latency trunks.  The trunk latency is the lookahead the planner
+higher-latency trunks
+(:func:`~repro.netsim.parallel.plan.cluster_layout`, the layout the
+scenario specs' ``[clusters]`` section shares).  The trunk latency is the lookahead the planner
 finds.  Every host heartbeats (thin timer events that keep the heap
 deep), ticks periodically, and each tick fires probes at random peers
 — mostly cluster-local, sometimes across a trunk — which ack back.
@@ -21,9 +23,9 @@ sharded.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from repro.netsim.parallel.plan import LinkSpec, TopologySpec
+from repro.netsim.parallel.plan import LinkSpec, TopologySpec, cluster_layout
 from repro.netsim.parallel.shard import SerialScenarioDriver, ShardContext
 
 __all__ = [
@@ -50,25 +52,9 @@ def soak_topology(
         raise ValueError("need at least one cluster and one host")
     if clusters > 99:
         raise ValueError("host naming supports at most 99 clusters")
-    hosts: List[str] = []
-    links: List[LinkSpec] = []
-    gateways: List[str] = []
-    for c in range(clusters):
-        members = [f"c{c:02d}h{h:02d}" for h in range(hosts_per_cluster)]
-        hosts.extend(members)
-        gateways.append(members[0])
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                links.append(LinkSpec(a, b, intra_latency, bandwidth_bps))
-    for c in range(1, clusters):
-        links.append(
-            LinkSpec(gateways[c - 1], gateways[c], inter_latency, bandwidth_bps)
-        )
-    if clusters > 2:
-        links.append(
-            LinkSpec(gateways[-1], gateways[0], inter_latency, bandwidth_bps)
-        )
-    return TopologySpec(hosts, links)
+    return TopologySpec(*cluster_layout(
+        clusters, hosts_per_cluster, intra_latency, inter_latency, bandwidth_bps
+    ))
 
 
 def zero_lookahead_topology(hosts: int = 8) -> TopologySpec:

@@ -118,12 +118,34 @@ class TestPeriodic:
         with pytest.raises(KernelError):
             kernel.every(0.0, lambda: None)
 
-    def test_schedule_iter_passes_arrival_times(self):
+
+NAN = float("nan")
+
+
+class TestNaNTimes:
+    """A NaN due time compares false both ways, so it used to slip past
+    the ``time < now`` guards and fire out of order."""
+
+    @pytest.mark.parametrize(
+        "schedule_nan",
+        [
+            lambda kernel, fn: kernel.schedule_at(NAN, fn, NAN),
+            lambda kernel, fn: kernel.schedule(NAN, fn, NAN),
+            lambda kernel, fn: kernel.schedule_many([0.25, NAN], fn, NAN),
+            lambda kernel, fn: kernel.every(NAN, fn, NAN),
+        ],
+        ids=["schedule_at", "schedule", "schedule_many", "every"],
+    )
+    def test_rejected_and_the_queue_still_drains_in_order(self, schedule_nan):
         kernel = EventKernel()
-        seen = []
-        kernel.schedule_iter([0.5, 1.5], seen.append)
+        fired = []
+        for time in (3.0, 1.0, 2.0):
+            kernel.schedule_at(time, fired.append, time)
+        with pytest.raises(KernelError):
+            schedule_nan(kernel, fired.append)
+        kernel.schedule_at(0.5, fired.append, 0.5)
         kernel.run()
-        assert seen == [0.5, 1.5]
+        assert fired == [0.5, 1.0, 2.0, 3.0]
 
 
 class TestAccounting:

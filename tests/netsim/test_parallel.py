@@ -1,6 +1,8 @@
 """Tests for the sharded event kernel (conservative synchronization)."""
 
+import gc
 import sys
+import weakref
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.netsim.parallel import (
     handler_ref,
 )
 from repro.netsim.parallel.plan import LinkSpec
+from repro.netsim.parallel.shard import ShardContext, ShardRuntime
 from repro.perf import snapshot
 from repro.workloads import soak
 from repro.workloads.soak import (
@@ -160,10 +163,22 @@ class TestDeterminism:
         assert kernel.stats()["backend"] == "serial"
         assert kernel.stats()["fallback_serial"] is True
 
-    def test_strict_determinism_forces_serial(self):
-        kernel = ShardedKernel(small_topology(), shards=4,
-                               strict_determinism=True)
-        assert kernel.serial
+    def test_fallback_writes_the_serial_driver_trace_order(self):
+        # Not just the digest: the one-shard runtime fires events in
+        # exactly the order EventKernel does, so the unsorted traces match.
+        topo = small_topology()
+        cfg = soak_config(topo, duration=0.2)
+        driver = SerialScenarioDriver(EventKernel(), topo, seed=3, trace=True)
+        schedule_soak(driver, cfg)
+        fired = driver.run()
+        kernel = ShardedKernel(topo, shards=1, seed=3, trace=True)
+        schedule_soak(kernel, cfg)
+        assert kernel.run() == fired
+        assert kernel._trace == driver.trace
+        stats = kernel.stats()
+        assert (stats["backend"], stats["shards"], stats["barriers"]) == (
+            "serial", 1, 0
+        )
 
     def test_serial_driver_matches_sharded_kernel(self):
         topo = small_topology()
@@ -192,8 +207,6 @@ class TestConservativeSync:
         assert len(stats["events_per_shard"]) == 4
 
     def test_lookahead_violation_is_rejected(self):
-        from repro.netsim.parallel.shard import ShardRuntime
-
         topo = small_topology()
         plan = ShardPlanner(topo).plan(4)
         runtime = ShardRuntime(0, set(plan.members(0)), topo,
@@ -203,19 +216,74 @@ class TestConservativeSync:
             runtime.post(plan.lookahead / 2, foreign,
                          handler_ref(soak.heartbeat), None)
 
-    def test_run_before_is_strict_and_keeps_clock(self):
-        kernel = EventKernel()
-        fired = []
-        kernel.schedule_at(1.0, fired.append, "in-window")
-        kernel.schedule_at(2.0, fired.append, "at-boundary")
-        assert kernel.run_before(2.0) == 1
-        assert fired == ["in-window"]
-        # Clock sits at the last fired event, not the window end, so
-        # barrier-time injection just after it is legal.
-        assert kernel.clock.now == 1.0
-        kernel.schedule_at(1.5, fired.append, "injected")
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_run_until_is_strict(self, shards):
+        # An event due exactly at ``until`` waits: it could still be
+        # affected by a message produced before it.
+        topo = small_topology()
+        kernel = ShardedKernel(topo, shards=shards, trace=True)
+        assert kernel.serial == (shards == 1)
+        kernel.schedule_at(1.0, "c00h00", soak.ack)
+        kernel.schedule_at(2.0, "c03h00", soak.ack)
+        assert kernel.run(until=2.0) == 1
+        assert [entry[:2] for entry in kernel.trace_entries()] == [
+            (1.0, "c00h00")
+        ]
+
+    def test_a_drained_runtime_needs_no_cycle_collector(self):
+        # The serial fallback's runtime holds the whole trace; it must
+        # go when the run ends, not whenever the collector next runs.
+        topo = small_topology()
+        runtime = ShardRuntime(0, set(topo.hosts), topo, float("inf"),
+                               trace=True)
+        cfg = soak_config(topo, duration=0.05)
+        for host in topo.hosts:
+            runtime.post(0.0, host, handler_ref(soak.boot), cfg)
+        runtime.run_window(float("inf"))
+        gone = weakref.ref(runtime)
+        gc.disable()
+        try:
+            del runtime
+            assert gone() is None
+        finally:
+            gc.enable()
+
+
+def _sharded_kernel(topo, host):
+    kernel = ShardedKernel(topo, shards=4, trace=True)
+
+    def post(time):
+        kernel.schedule_at(time, host, soak.ack)
+
+    def drain():
         kernel.run()
-        assert fired == ["in-window", "injected", "at-boundary"]
+        return kernel._trace
+
+    return post, drain
+
+
+def _shard_context(topo, host):
+    runtime = ShardRuntime(0, set(topo.hosts), topo, float("inf"), trace=True)
+
+    def post(time):
+        ShardContext(runtime).schedule(time, host, soak.ack)  # now == 0
+
+    def drain():
+        runtime.run_window(float("inf"))
+        return runtime.trace
+
+    return post, drain
+
+
+@pytest.mark.parametrize("entry", [_sharded_kernel, _shard_context])
+def test_nan_time_is_rejected_and_the_rest_drains_in_order(entry):
+    post, drain = entry(small_topology(), "c00h00")
+    for time in (3.0, 1.0, 2.0):
+        post(time)
+    with pytest.raises(KernelError):
+        post(float("nan"))
+    post(0.5)
+    assert [entry[0] for entry in drain()] == [0.5, 1.0, 2.0, 3.0]
 
 
 class TestHandlerRefs:

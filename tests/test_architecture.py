@@ -20,6 +20,9 @@ PAPERS.md), and are cheap enough to run in tier-1:
 5. **One wire codec**: the CDR primitive formats (``struct.Struct(">I")``
    and friends) are spelled in ``orb/_cdr_fast.py`` only, and the GIOP
    encoders build their own buffer (no pool parameter).
+6. **One event kernel**: ``netsim/parallel/`` takes nothing from
+   ``repro.netsim.kernel`` but ``KernelError``; its serial fallback is
+   one of its own shard runtimes, not a second engine.
 
 One dynamic check pins what the DAG buys: a netsim-only process never
 loads ``asyncio`` or any package above ``core``.
@@ -359,6 +362,49 @@ def test_giop_encoders_take_no_pool():
     assert parameters["encode_request"] == ["request"]
     assert parameters["encode_reply"] == [
         "request_id", "result", "exception", "service_contexts"
+    ]
+
+
+# -- 6. one event kernel ----------------------------------------------------
+
+PARALLEL = "repro/netsim/parallel/"
+SERIAL_KERNEL = "repro.netsim.kernel"
+
+
+def _serial_kernel_imports(tree):
+    """Names a module takes from the serial kernel (``*``: the whole module)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == SERIAL_KERNEL:
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro.netsim":
+            yield from ("*" for alias in node.names if alias.name == "kernel")
+        elif isinstance(node, ast.Import):
+            yield from (
+                "*" for alias in node.names if _under(alias.name, SERIAL_KERNEL)
+            )
+
+
+def test_the_sharded_kernel_takes_only_the_error_type():
+    taken = {
+        path: set(_serial_kernel_imports(tree))
+        for path, tree in _modules()
+        if path.startswith(PARALLEL)
+    }
+    assert PARALLEL + "kernel.py" in taken
+    extra = {path: names - {"KernelError"} for path, names in taken.items()}
+    assert {path: names for path, names in extra.items() if names} == {}
+
+
+def test_the_kernel_rule_sees_every_import_form():
+    tree = ast.parse(
+        "from repro.netsim.kernel import KernelError\n"
+        "def f():\n    from repro.netsim.kernel import EventKernel\n"
+        "import repro.netsim.kernel\n"
+        "from repro.netsim import kernel, network\n"
+        "from repro.netsim.network import Network\n"
+    )
+    assert sorted(_serial_kernel_imports(tree)) == [
+        "*", "*", "EventKernel", "KernelError"
     ]
 
 
