@@ -81,7 +81,7 @@ class ControlLoop:
         if until is not None and next_time > until:
             self.running = False
             return
-        self.kernel.schedule(self.period, self._fire, until, label="ctl-tick")
+        self.kernel.schedule(self.period, self._fire, until)
 
     def _fire(self, until: Optional[float]) -> None:
         if not self.running:

@@ -7,18 +7,20 @@ serialisation time, servant service time); nothing under netsim reads
 wall-clock time, which keeps all tests and benchmarks deterministic.
 
 :class:`TimeSource` is the contract layered on top: deadline shedding,
-retry backoff, breaker half-open probes and pacing need three verbs —
-*what time is it*, *wait this long*, *run this later* — and none of
-them cares whether the seconds are simulated or real.  An ORB exposes
-one as ``orb.time_source``: by default a :class:`SimClock` over the
-world's clock and kernel; the sockets backend installs
+retry backoff, breaker half-open probes and pacing need two verbs —
+*what time is it* and *wait* (``wait`` for a span, ``wait_until`` for
+an instant) — and none of them cares whether the seconds are simulated
+or real.  Nothing asks a TimeSource to run code later: deferred work
+on the simulated side goes straight to the event kernel.  An ORB
+exposes one as ``orb.time_source``: by default a :class:`SimClock`
+over the world's clock; the sockets backend installs
 :class:`repro.rt.clock.MonotonicClock` and the same QoS code runs on
 wall-clock time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 
 class ClockError(Exception):
@@ -40,8 +42,8 @@ class Clock:
     __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0.0:
-            raise ClockError(f"clock cannot start before zero: {start}")
+        if not start >= 0.0:
+            raise ClockError(f"clock must start at a time >= 0: {start}")
         self._now = float(start)
 
     @property
@@ -51,8 +53,8 @@ class Clock:
 
     def advance(self, delta: float) -> float:
         """Advance the clock by ``delta`` seconds and return the new time."""
-        if delta < 0.0:
-            raise ClockError(f"cannot advance by a negative delta: {delta}")
+        if not delta >= 0.0:
+            raise ClockError(f"can only advance by a delta >= 0: {delta}")
         self._now += delta
         return self._now
 
@@ -87,27 +89,18 @@ class TimeSource:
         """Block until ``instant`` (no-op if already past); returns now()."""
         raise NotImplementedError
 
-    def schedule_after(self, delay: float, fn: Callable[..., Any], *args: Any):
-        """Run ``fn(*args)`` after ``delay`` seconds; returns a cancellable."""
-        raise NotImplementedError
-
 
 class SimClock(TimeSource):
-    """The logical :class:`Clock` and its event kernel as a TimeSource.
+    """The logical :class:`Clock` as a TimeSource.
 
     ``wait``/``wait_until`` are ``clock.advance``/``advance_to``, so
     simulated runs stay deterministic to the tick.
     """
 
-    __slots__ = ("_clock", "_kernel")
+    __slots__ = ("_clock",)
 
-    def __init__(self, clock: Any = None, kernel: Any = None) -> None:
-        if clock is None:
-            if kernel is None:
-                raise ValueError("SimClock needs a netsim clock or a kernel")
-            clock = kernel.clock
+    def __init__(self, clock: Any) -> None:
         self._clock = clock
-        self._kernel = kernel
 
     def now(self) -> float:
         return self._clock.now
@@ -120,11 +113,6 @@ class SimClock(TimeSource):
     def wait_until(self, instant: float) -> float:
         self._clock.advance_to(instant)
         return self._clock.now
-
-    def schedule_after(self, delay: float, fn: Callable[..., Any], *args: Any):
-        if self._kernel is None:
-            raise RuntimeError("this SimClock has no event kernel to schedule on")
-        return self._kernel.schedule(delay, fn, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self._clock.now:.6f})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.netsim.kernel import EventKernel
+from repro.netsim.kernel import EventKernel, KernelError
 from repro.netsim.network import Link, Network
 
 
@@ -56,6 +56,11 @@ class FaultInjector:
 
     def partition(self, *groups: Iterable[str], at: Optional[float] = None) -> None:
         """Split the network into the given groups."""
+        self._partition(groups, at)
+
+    def _partition(
+        self, groups: Sequence[Iterable[str]], at: Optional[float] = None
+    ) -> None:
         self.network.set_partitions(groups)
         self._record(f"partition {[sorted(g) for g in map(set, groups)]}", at)
 
@@ -77,22 +82,16 @@ class FaultInjector:
 
     def crash_at(self, time: float, host_name: str) -> None:
         """Schedule a crash at an absolute simulated time."""
-        self._require_kernel().schedule_at(
-            time, self.crash, host_name, at=time, label=f"crash:{host_name}"
-        )
+        self._require_kernel().schedule_at(time, self.crash, host_name, time)
 
     def recover_at(self, time: float, host_name: str) -> None:
         """Schedule a recovery at an absolute simulated time."""
-        self._require_kernel().schedule_at(
-            time, self.recover, host_name, at=time, label=f"recover:{host_name}"
-        )
+        self._require_kernel().schedule_at(time, self.recover, host_name, time)
 
     def partition_at(self, time: float, *groups: Iterable[str]) -> None:
         """Schedule a partition at an absolute simulated time."""
         frozen = [tuple(group) for group in groups]
-        self._require_kernel().schedule_at(
-            time, self.partition, *frozen, at=time, label="partition"
-        )
+        self._require_kernel().schedule_at(time, self._partition, frozen, time)
         self._scheduled_partitions.append(time)
 
     def heal_at(self, time: float) -> None:
@@ -122,14 +121,14 @@ class FaultInjector:
                 "schedule the partition first (partition_at) or partition "
                 "immediately before scheduling the heal"
             )
-        self._require_kernel().schedule_at(time, self.heal, at=time, label="heal")
+        self._require_kernel().schedule_at(time, self.heal, time)
 
     def set_loss_at(self, time: float, link: Link, loss_rate: float) -> None:
         """Schedule a link loss-rate change."""
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1): {loss_rate}")
         self._require_kernel().schedule_at(
-            time, self.set_loss, link, loss_rate, at=time, label="loss"
+            time, self.set_loss, link, loss_rate, time
         )
 
     def crash_schedule(
@@ -138,13 +137,21 @@ class FaultInjector:
         """Schedule ``(crash_time, recover_time, host)`` triples.
 
         A ``recover_time`` of ``float('inf')`` means the host never
-        comes back.
+        comes back.  Every triple is checked before any is scheduled, so
+        a rejected schedule leaves the kernel untouched.
         """
-        for crash_time, recover_time, host_name in schedule:
-            if recover_time <= crash_time and recover_time != float("inf"):
+        schedule = list(schedule)
+        now = self._require_kernel().clock.now
+        for crash_time, recover_time, _host_name in schedule:
+            if not crash_time >= now:
+                raise KernelError(
+                    f"cannot crash at {crash_time} before current time {now}"
+                )
+            if not recover_time > crash_time:
                 raise ValueError(
                     f"recover ({recover_time}) must follow crash ({crash_time})"
                 )
+        for crash_time, recover_time, host_name in schedule:
             self.crash_at(crash_time, host_name)
             if recover_time != float("inf"):
                 self.recover_at(recover_time, host_name)

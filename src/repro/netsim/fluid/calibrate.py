@@ -126,8 +126,7 @@ def run_tier(
         scenario.src, scenario.dst, scenario.rate, scenario.duration
     )
     for time, flowlet in schedule:
-        kernel.schedule_at(time, executor.start, flowlet,
-                           label="flowlet-arrival")
+        kernel.schedule_at(time, executor.start, flowlet)
     kernel.run()
     return executor.class_summaries(), executor
 

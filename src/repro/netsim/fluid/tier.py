@@ -182,8 +182,7 @@ class FluidFlowExecutor(_ExecutorBase):
         now = self.kernel.clock.now
         self._note_start(flowlet)
         self.kernel.schedule(
-            duration, self._complete, flowlet, now, demand, links,
-            label="fluid-complete",
+            duration, self._complete, flowlet, now, demand, links
         )
         return now + duration
 
@@ -237,8 +236,7 @@ class PacketFlowletExecutor(_ExecutorBase):
             "rng": random.Random(self._seed ^ (self.flowlets_started * 0x9E3779B1)),
         }
         ramp = startup_excess(flowlet.nbytes, self.mss, rtt, loss, self.rwnd)
-        self.kernel.schedule(ramp, self._send_segment, state,
-                             label="pkt-segment")
+        self.kernel.schedule(ramp, self._send_segment, state)
 
     def _send_segment(self, state: dict) -> None:
         flowlet: Flowlet = state["flowlet"]
@@ -265,11 +263,9 @@ class PacketFlowletExecutor(_ExecutorBase):
         delay = trip * transmissions
         state["remaining"] -= 1
         if state["remaining"] > 0:
-            self.kernel.schedule(delay, self._send_segment, state,
-                                 label="pkt-segment")
+            self.kernel.schedule(delay, self._send_segment, state)
         else:
-            self.kernel.schedule(delay, self._finish, state,
-                                 label="pkt-complete")
+            self.kernel.schedule(delay, self._finish, state)
 
     def _finish(self, state: dict) -> None:
         flowlet: Flowlet = state["flowlet"]

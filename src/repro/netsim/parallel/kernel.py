@@ -163,6 +163,8 @@ class ShardedKernel:
         """
         if self._ran:
             raise KernelError("kernel already ran; build a new one")
+        if until is not None and not until >= 0.0:
+            raise KernelError(f"run needs until >= 0: {until}")
         self._ran = True
         if self.serial:
             runtime = ShardRuntime(

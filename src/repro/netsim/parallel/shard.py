@@ -1,14 +1,13 @@
 """One shard of a sharded run: its heap, clock, hosts and outbox.
 
 A :class:`ShardRuntime` keeps a *minimal* event heap of
-``(time, seq, host, handler_ref, payload)`` tuples.  Shard events are
-fire-and-forget — nothing ever cancels them — so none of the serial
-kernel's :class:`~repro.netsim.kernel.Event` machinery (cancellation
-flags, labels, kwargs, compaction) is needed, and dropping the per-
-event object roughly halves the allocator/GC pressure of a deep soak.
-Every heap comparison is decided by the ``(time, seq)`` prefix at C
-level; ``seq`` is unique per shard, so handler payloads are never
-compared.
+``(time, seq, host, handler_ref, payload)`` tuples — the serial
+:class:`~repro.netsim.kernel.EventKernel`'s ``(time, seq, fn, args)``
+shape plus the owning host, with a handler reference in place of a
+callable so events can cross a process boundary.  Events are
+fire-and-forget in both kernels: nothing ever cancels one.  Every heap
+comparison is decided by the ``(time, seq)`` prefix at C level;
+``seq`` is unique per shard, so handler payloads are never compared.
 
 The runtime adds the three things a conservatively synchronized shard
 must manage:

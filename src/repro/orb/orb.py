@@ -58,7 +58,7 @@ class ORB:
         #: The transport seam: how this broker's outgoing bytes travel.
         self.transport = NetsimTransport(self)
         #: The TimeSource QoS concerns tell time by; None until first
-        #: use, then a SimClock over the world's kernel unless
+        #: use, then a SimClock over the world's clock unless
         #: :meth:`use_time_source` installed something else.
         self._time_source = None
         self.requests_invoked = 0
@@ -88,12 +88,12 @@ class ORB:
         """The :class:`~repro.netsim.clock.TimeSource` this broker tells time by.
 
         Defaults to a :class:`~repro.netsim.clock.SimClock` over the
-        world's clock and event kernel; the sockets backend installs a
+        world's clock; the sockets backend installs a
         wall clock (:class:`repro.rt.clock.MonotonicClock`) from above.
         """
         source = self._time_source
         if source is None:
-            source = SimClock(self.clock, getattr(self.world, "kernel", None))
+            source = SimClock(self.clock)
             self._time_source = source
         return source
 

@@ -136,8 +136,8 @@ def snapshot(
 
     Given a world (or an ORB, whose world is used automatically), the
     netsim instrument panels are merged in too: ``kernel_*`` keys carry
-    events fired, heap compactions and the cancelled-pending/live-event
-    high-water marks; ``net_*`` keys carry traffic totals, the route
+    events fired, events pending and the queued-event high-water mark;
+    ``net_*`` keys carry traffic totals, the route
     cache hit rate and fluid-tier link accounting.  A control plane
     attached to the world (``world.control`` — see
     :meth:`repro.control.loop.ControlLoop.attach`) contributes the

@@ -123,7 +123,7 @@ class OpenLoopDriver:
 
     def schedule(self, arrivals: Sequence[float]) -> "OpenLoopDriver":
         # Bulk merge: one heapify for a cold kernel instead of N pushes.
-        self.kernel.schedule_many(arrivals, self._fire, label="arrival")
+        self.kernel.schedule_many(arrivals, self._fire)
         return self
 
     def _fire(self) -> None:

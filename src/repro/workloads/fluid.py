@@ -110,7 +110,7 @@ class FluidCohort:
                 raise ValueError(
                     "explicit cohort arrivals must lie in [0, duration]"
                 )
-        self.tier.kernel.schedule_many(times, self._fire, label="cohort")
+        self.tier.kernel.schedule_many(times, self._fire)
         self.scheduled += len(times)
         self.installed_duration = duration
         return len(times)

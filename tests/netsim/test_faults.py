@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim.faults import FaultInjector
-from repro.netsim.kernel import EventKernel
+from repro.netsim.kernel import EventKernel, KernelError
 from repro.netsim.network import HostCrashed, Network, NoRoute
 
 
@@ -77,6 +77,24 @@ class TestScheduledFaults:
         _, _, faults = world
         with pytest.raises(ValueError):
             faults.crash_schedule([(2.0, 1.0, "b")])
+
+    @pytest.mark.parametrize(
+        "schedule, error",
+        [
+            ([(1.0, 2.0, "a"), (3.0, 2.5, "b")], ValueError),
+            ([(1.0, float("nan"), "a")], ValueError),
+            ([(float("nan"), 2.0, "a")], KernelError),
+            ([(1.0, 2.0, "a"), (-1.0, float("inf"), "b")], KernelError),
+        ],
+        ids=["recover-before-crash", "nan-recover", "nan-crash", "past-crash"],
+    )
+    def test_rejected_schedule_queues_nothing(self, world, schedule, error):
+        kernel, net, faults = world
+        with pytest.raises(error):
+            faults.crash_schedule(schedule)
+        assert kernel.pending == 0
+        kernel.run()
+        assert not net.host("a").crashed
 
     def test_scheduling_without_kernel_rejected(self):
         net = Network()

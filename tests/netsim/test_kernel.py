@@ -63,23 +63,6 @@ class TestScheduling:
         assert kernel.clock.now == 2.0
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        kernel = EventKernel()
-        fired = []
-        event = kernel.schedule(1.0, fired.append, "x")
-        event.cancel()
-        kernel.run()
-        assert fired == []
-
-    def test_cancel_is_idempotent(self):
-        kernel = EventKernel()
-        event = kernel.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert kernel.run() == 0
-
-
 class TestRunUntil:
     def test_stops_at_deadline(self):
         kernel = EventKernel()
@@ -165,76 +148,3 @@ class TestAccounting:
         kernel.schedule(1.0, forever)
         with pytest.raises(KernelError):
             kernel.run(max_events=100)
-
-
-class TestLazyCancellation:
-    def test_pending_live_tracks_cancellations(self):
-        kernel = EventKernel()
-        events = [kernel.schedule(float(i + 1), lambda: None) for i in range(10)]
-        assert kernel.pending == 10
-        assert kernel.pending_live == 10
-        for event in events[:4]:
-            event.cancel()
-        assert kernel.pending_live == 6
-
-    def test_double_cancel_counts_once(self):
-        kernel = EventKernel()
-        event = kernel.schedule(1.0, lambda: None)
-        kernel.schedule(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert kernel.pending_live == 1
-
-    def test_compaction_shrinks_queue(self):
-        kernel = EventKernel()
-        threshold = EventKernel.COMPACT_THRESHOLD
-        events = [
-            kernel.schedule(float(i + 1), lambda: None)
-            for i in range(threshold + 10)
-        ]
-        # Cancel enough that dead entries pass the threshold AND
-        # outnumber the live ones: the heap must physically shrink
-        # (compaction fires at the threshold crossing; cancellations
-        # after it sit in the queue until the next crossing).
-        for event in events[: threshold + 5]:
-            event.cancel()
-        assert kernel.pending_live == 5
-        assert kernel.pending <= 10
-
-    def test_cancelled_events_do_not_fire(self):
-        kernel = EventKernel()
-        fired = []
-        events = [
-            kernel.schedule(float(i + 1), fired.append, i) for i in range(100)
-        ]
-        for event in events[::2]:
-            event.cancel()
-        kernel.run()
-        assert fired == list(range(1, 100, 2))
-        assert kernel.pending == 0
-        assert kernel.pending_live == 0
-
-    def test_run_until_discards_cancelled_heads(self):
-        kernel = EventKernel()
-        fired = []
-        first = kernel.schedule(1.0, fired.append, "a")
-        kernel.schedule(2.0, fired.append, "b")
-        first.cancel()
-        assert kernel.run_until(3.0) == 1
-        assert fired == ["b"]
-        assert kernel.pending_live == 0
-
-    def test_ordering_survives_compaction(self):
-        kernel = EventKernel()
-        fired = []
-        events = [
-            kernel.schedule(float(i % 7 + 1), fired.append, i)
-            for i in range(200)
-        ]
-        for event in events[:150]:
-            event.cancel()
-        kernel.run()
-        survivors = list(range(150, 200))
-        # Same-time events fire in scheduling order within each due time.
-        expected = sorted(survivors, key=lambda i: (i % 7, i))
-        assert fired == expected

@@ -4,8 +4,10 @@ import tracemalloc
 
 import pytest
 
-from repro.netsim.clock import Clock
+from repro.netsim.clock import Clock, ClockError
 from repro.netsim.kernel import EventKernel, KernelError
+from repro.netsim.parallel import ShardedKernel
+from repro.workloads.soak import schedule_soak, soak_config, soak_topology
 
 
 class TestScheduleMany:
@@ -22,11 +24,10 @@ class TestScheduleMany:
         # must leave a valid heap (pops come out ordered).
         kernel = EventKernel()
         times = [float((i * 7919) % 10_000 + 1) for i in range(10_000)]
-        kernel.schedule_many(times, lambda: None)
-        last = -1.0
-        while kernel.step():
-            assert kernel.clock.now >= last
-            last = kernel.clock.now
+        seen = []
+        kernel.schedule_many(times, lambda: seen.append(kernel.clock.now))
+        assert kernel.run() == 10_000
+        assert seen == sorted(times)
 
     def test_bulk_merges_into_existing_queue(self):
         kernel = EventKernel()
@@ -40,8 +41,7 @@ class TestScheduleMany:
     def test_shared_static_args(self):
         kernel = EventKernel()
         seen = []
-        events = kernel.schedule_many([1.0, 2.0], seen.append, "tag")
-        assert events[0].args is events[1].args
+        kernel.schedule_many([1.0, 2.0], seen.append, "tag")
         kernel.run()
         assert seen == ["tag", "tag"]
 
@@ -60,35 +60,41 @@ class TestScheduleMany:
 
 
 class TestSlimEvents:
-    def test_argless_events_share_singletons(self):
-        kernel = EventKernel()
-        one = kernel.schedule(1.0, lambda: None)
-        two = kernel.schedule(2.0, lambda: None)
-        assert one.args is two.args
-        assert one.kwargs is two.kwargs
-
     def test_events_with_args_do_not_share(self):
         kernel = EventKernel()
         sink = []
-        one = kernel.schedule(1.0, sink.append, "x")
-        two = kernel.schedule(2.0, sink.append, "y")
-        assert one.args == ("x",)
-        assert one.args is not two.args
+        kernel.schedule(1.0, sink.append, "x")
+        kernel.schedule(2.0, sink.append, "y")
         kernel.run()
         assert sink == ["x", "y"]
 
-    def test_bulk_event_memory_footprint(self):
-        # The tracemalloc regression guard for million-event runs: an
-        # argless queued event must stay under 500 bytes all-in.
+    @staticmethod
+    def _bytes_per_event(schedule):
         kernel = EventKernel()
         times = [float(i + 1) for i in range(10_000)]
         tracemalloc.start()
         before, _ = tracemalloc.get_traced_memory()
-        kernel.schedule_many(times, lambda: None)
+        schedule(kernel, times)
         after, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        per_event = (after - before) / 10_000
-        assert per_event < 500, f"{per_event:.0f} bytes per queued event"
+        return (after - before) / len(times)
+
+    def test_bulk_event_memory_footprint(self):
+        # The tracemalloc regression guard for million-event runs: a
+        # queued event is one (time, seq, fn, args) tuple, its seq int
+        # and a heap slot — no event object.
+        per_event = self._bytes_per_event(
+            lambda kernel, times: kernel.schedule_many(times, lambda: None)
+        )
+        assert per_event < 150, f"{per_event:.0f} bytes per queued event"
+
+    def test_three_argument_event_memory_footprint(self):
+        def schedule(kernel, times):
+            for time in times:
+                kernel.schedule_at(time, max, 1, 2, 3)
+
+        per_event = self._bytes_per_event(schedule)
+        assert per_event < 200, f"{per_event:.0f} bytes per queued event"
 
     def test_live_peak_high_water_mark(self):
         kernel = EventKernel()
@@ -99,57 +105,62 @@ class TestSlimEvents:
 
 
 class TestRunUntilEdges:
-    def test_cancelled_head_exactly_at_deadline(self):
-        kernel = EventKernel()
-        fired = []
-        head = kernel.schedule(2.0, fired.append, "dead")
-        kernel.schedule(2.0, fired.append, "live")
-        head.cancel()
-        assert kernel.run_until(2.0) == 1
-        assert fired == ["live"]
-        assert kernel.clock.now == 2.0
-        assert kernel.pending == 0
-
-    def test_only_cancelled_events_at_deadline(self):
-        kernel = EventKernel()
-        event = kernel.schedule(3.0, lambda: None)
-        event.cancel()
-        assert kernel.run_until(3.0) == 0
-        assert kernel.clock.now == 3.0
-        assert kernel.pending == 0
-
-    def test_compaction_mid_run_until(self):
-        kernel = EventKernel()
-        threshold = EventKernel.COMPACT_THRESHOLD
-        late = [
-            kernel.schedule(10.0 + i, lambda: None, label="late")
-            for i in range(threshold + 10)
-        ]
-
-        def mass_cancel():
-            for event in late:
-                event.cancel()
-
-        kernel.schedule(1.0, mass_cancel)
-        fired = kernel.run_until(5.0)
-        assert fired == 1
-        assert kernel.compactions >= 1
-        assert kernel.pending_live == 0
-        # The queue physically shrank while run_until was in flight.
-        assert kernel.pending < threshold
+    def test_past_deadline_fires_nothing(self):
+        kernel = EventKernel(Clock(5.0))
+        kernel.schedule(1.0, lambda: None)
+        assert kernel.run_until(2.0) == 0
+        assert kernel.clock.now == 5.0
+        assert kernel.pending == 1
 
     def test_stats_panel(self):
         kernel = EventKernel()
-        events = [kernel.schedule(float(i + 1), lambda: None)
-                  for i in range(4)]
-        events[0].cancel()
+        for i in range(4):
+            kernel.schedule(float(i + 1), lambda: None)
         stats = kernel.stats()
         assert stats["pending"] == 4
-        assert stats["pending_live"] == 3
         assert stats["live_peak"] == 4
-        assert stats["cancelled_peak"] == 1
+        assert stats["compactions"] == 0
         kernel.run()
-        assert kernel.stats()["events_fired"] == 3
+        assert kernel.stats()["events_fired"] == 4
+        assert kernel.stats()["pending"] == 0
+
+
+NAN = float("nan")
+
+
+def _three_events():
+    kernel = EventKernel()
+    for time in (1.0, 5.0, 9.0):
+        kernel.schedule_at(time, lambda: None)
+    return kernel
+
+
+def _soak_kernel():
+    topology = soak_topology(clusters=2, hosts_per_cluster=2)
+    kernel = ShardedKernel(topology, shards=2)
+    schedule_soak(kernel, soak_config(topology, duration=0.05))
+    return kernel
+
+
+class TestNaNBounds:
+    """NaN compares false both ways, so ``x < 0`` guards let it through:
+    ``Clock.advance(nan)`` froze the clock at NaN, and a NaN run bound
+    drained the whole queue.  Each entry point now rejects it."""
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: Clock(NAN), ClockError),
+            (lambda: Clock(1.0).advance(NAN), ClockError),
+            (lambda: _three_events().run_until(NAN), KernelError),
+            (lambda: _soak_kernel().run(until=NAN), KernelError),
+        ],
+        ids=["Clock", "Clock.advance", "EventKernel.run_until",
+             "ShardedKernel.run"],
+    )
+    def test_rejected(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestEveryBoundary:

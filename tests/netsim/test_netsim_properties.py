@@ -36,6 +36,48 @@ def test_kernel_fires_in_nondecreasing_time_order(delays):
     assert len(fired) == len(delays)
 
 
+# Offsets on a quarter-second grid: sums stay exact, and ties are common.
+_offsets = st.integers(min_value=0, max_value=12).map(lambda q: q / 4)
+_kernel_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.lists(_offsets, min_size=1, max_size=1)),
+        st.tuples(st.just("schedule_at"), st.lists(_offsets, min_size=1, max_size=1)),
+        st.tuples(st.just("schedule_many"), st.lists(_offsets, max_size=6)),
+        st.tuples(st.just("run_until"), st.lists(_offsets, min_size=1, max_size=1)),
+    ),
+    max_size=25,
+)
+
+
+@given(_kernel_steps)
+def test_kernel_fires_in_time_then_scheduling_order(steps):
+    """Any mix of the three scheduling verbs, drained through arbitrary
+    ``run_until`` split points and then ``run()``, fires in
+    (time, scheduling order)."""
+    kernel = EventKernel()
+    fired = []
+    queued = []  # (time, scheduling order, step) per event
+
+    def record(step):
+        fired.append((kernel.clock.now, step))
+
+    for step, (verb, offsets) in enumerate(steps):
+        now = kernel.clock.now
+        if verb == "run_until":
+            kernel.run_until(now + offsets[0])
+            continue
+        if verb == "schedule":
+            kernel.schedule(offsets[0], record, step)
+        elif verb == "schedule_at":
+            kernel.schedule_at(now + offsets[0], record, step)
+        else:
+            kernel.schedule_many([now + o for o in offsets], record, step)
+        first = len(queued)
+        queued.extend((now + o, first + i, step) for i, o in enumerate(offsets))
+    kernel.run()
+    assert fired == [(time, step) for time, _, step in sorted(queued)]
+
+
 def _ring_network(n):
     net = Network()
     names = [f"h{i}" for i in range(n)]
