@@ -41,12 +41,12 @@ def build_world():
 def run_policy(policy):
     """Open-loop run: the policy picks the worker per arriving job and
     learns from each job's observed latency (EWMA feedback)."""
-    from repro.orb import giop
     from repro.orb.request import Request
     from repro.workloads.drivers import ClosedLoopResult
 
     world, pool = build_world()
     orb = world.orb("studio")
+    iiop = orb.qos_transport.iiop_module
     mediator = LoadBalancingMediator(policy, seed=11)
     mediator.set_workers(pool.worker_iors())
     latencies = []
@@ -56,13 +56,10 @@ def run_policy(policy):
         stats = mediator._stats[index]
         stats.assigned += 1
         request = Request(mediator.workers[index], "busy_work", (JOB_UNITS,))
-        wire = giop.encode_request(request)
-        depart = time + orb.marshal_cost(len(wire))
-        reply_wire, finish = orb.round_trip(
-            mediator.workers[index].profile.host, wire, depart
-        )
-        finish += orb.marshal_cost(len(reply_wire))
-        giop.decode_reply(reply_wire).value()
+        reply, error, finish, _, _ = iiop.exchange(orb, request, time)
+        if error is not None:
+            raise error
+        reply.value()
         latency = finish - time
         stats.record(latency)
         latencies.append(latency)

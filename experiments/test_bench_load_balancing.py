@@ -15,7 +15,7 @@ beats the oblivious ones.
 import pytest
 
 from _tables import print_table
-from repro.orb import World, giop
+from repro.orb import World
 from repro.orb.request import Request
 from repro.qos.load_balancing import LoadBalancingMediator
 from repro.qos.load_balancing.policies import make_policy, policy_names, WorkerStats
@@ -44,6 +44,7 @@ def _deploy(worker_count, speeds=None):
 def _run_balanced(world, iors, policy_name, seed=3):
     """Open-loop run with per-job policy choice and latency feedback."""
     orb = world.orb("client")
+    iiop = orb.qos_transport.iiop_module
     policy = make_policy(policy_name, seed=seed)
     stats = [WorkerStats() for _ in iors]
     latencies = []
@@ -52,12 +53,10 @@ def _run_balanced(world, iors, policy_name, seed=3):
         index = policy.choose(len(iors), stats)
         stats[index].assigned += 1
         request = Request(iors[index], "busy_work", (UNITS,))
-        wire = giop.encode_request(request)
-        reply_wire, finish = orb.round_trip(
-            iors[index].profile.host, wire, time + orb.marshal_cost(len(wire))
-        )
-        finish += orb.marshal_cost(len(reply_wire))
-        giop.decode_reply(reply_wire).value()
+        reply, error, finish, _, _ = iiop.exchange(orb, request, time)
+        if error is not None:
+            raise error
+        reply.value()
         latency = finish - time
         stats[index].record(latency)
         latencies.append(latency)

@@ -25,12 +25,15 @@ are processed in *completion* order and matched back to their futures
 through the correlation map — the map is load-bearing, not cosmetic.
 
 Wire bytes are identical to the synchronous path per message: each
-request is GIOP-encoded individually and transformed through the
-module's ``wrap_burst`` (byte-identical to per-message ``wrap`` by the
-module contract).  Faults mid-window fail the futures the transport
-reports failed (on netsim only the legs hit; on one socket the whole
-window), with the same CORBA exception types and minors the synchronous
-path raises; every queued future is resolved by its flush — none hangs.
+request is GIOP-encoded individually and goes through the module's
+``seal`` / ``open``, the two halves of the synchronous
+:meth:`~repro.orb.modules.base.QoSModule.exchange`, under the binding
+config it was issued with.  Faults mid-window fail the futures the
+transport reports failed (on netsim only the legs hit; on one socket
+the whole window), with the same CORBA exception types and minors the
+synchronous path raises; a reply that cannot be opened or decoded
+fails its own future; every queued future is resolved by its flush —
+none hangs.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.orb import giop
 from repro.orb.exceptions import SystemException
 from repro.orb.invocation import absorb_reply
-from repro.orb.modules.base import encode_envelope
 from repro.orb.request import Request
 from repro.perf.counters import COUNTERS
 
@@ -276,24 +278,14 @@ class PipelinedChannel:
             return 0
         orb = self.orb
         module = self.module
-        marshal_cost = orb.marshal_cost
         cursor = orb.time_source.now()
-        wrapped: Optional[List[Tuple[Dict[str, Any], bytes, float]]] = None
-        if module.uses_envelope:
-            wrapped = module.wrap_burst(
-                [item.body for item in items], items[0].context
-            )
         #: request_id -> future: the reply correlation map.
         pending: Dict[int, ReplyFuture] = {}
         legs: List[Tuple[bytes, float, Optional[Dict[int, float]]]] = []
-        for index, item in enumerate(items):
-            cursor += marshal_cost(len(item.body))
-            if wrapped is not None:
-                params, payload, cpu = wrapped[index]
-                cursor += cpu
-                wire = encode_envelope(module.name, params, payload)
-            else:
-                wire = item.body
+        for item in items:
+            # Each request is sealed with the binding config it was
+            # issued under, exactly as the synchronous call would be.
+            wire, cursor = module.seal(orb, item.body, item.context, cursor)
             pending[item.future.request_id] = item.future
             legs.append((wire, cursor, item.reservations))
         # How a window crosses the wire is the transport's business
@@ -327,15 +319,13 @@ class PipelinedChannel:
                 highest_index = index
             future = items[index].future
             try:
-                reply_wire, cpu = module.open_reply(reply_wire)
+                reply, finish = module.open(orb, reply_wire, finish)
             except SystemException as error:
-                # Wrapped by the wrong module, or not invertible here:
-                # this future fails, the rest of the window goes on.
+                # Wrapped by the wrong module, not invertible here, or
+                # undecodable: this future fails, the rest of the window
+                # goes on.
                 self._fail(future, error, finish)
                 continue
-            finish += cpu
-            finish += marshal_cost(len(reply_wire))
-            reply = giop.decode_reply(reply_wire)
             # Correlate by request id; replies the server could not
             # even attribute (it answers id 0 when the request is
             # unreadable) fall back to the positional future.

@@ -5,7 +5,8 @@ server→client pushes; MAQS's actuality and replication mechanisms can
 reuse such a channel (freshness invalidations, membership changes).
 This implementation delivers events as **oneway** ``notify`` requests
 — fire-and-forget, so a dead subscriber never stalls the publisher —
-using the ORB's one-way path with explicit simulated times.
+through the plain GIOP module's ``exchange``, every notification
+leaving at the publication instant.
 
 - :class:`EventChannelServant` — the channel: topics, subscriptions,
   publication with per-topic fan-out.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.orb import giop
 from repro.orb.exceptions import UserException, register_user_exception
 from repro.orb.ior import IOR
 from repro.orb.request import Request
@@ -77,21 +77,17 @@ class EventChannelServant(Servant):
         """
         self.events_published += 1
         delivered = 0
-        now = self._orb.clock.now
+        orb = self._orb
+        iiop = orb.qos_transport.iiop_module
+        now = orb.time_source.now()
         for ior_string in self._subscribers.get(topic, []):
-            subscriber = IOR.from_string(ior_string)
             request = Request(
-                subscriber,
+                IOR.from_string(ior_string),
                 "notify",
                 (topic, payload),
                 response_expected=False,
             )
-            wire = giop.encode_request(request)
-            self._orb.one_way(
-                subscriber.profile.host,
-                wire,
-                now + self._orb.marshal_cost(len(wire)),
-            )
+            iiop.exchange(orb, request, now)
             delivered += 1
         self.notifications_sent += delivered
         return delivered

@@ -7,10 +7,13 @@ A module participates in two planes:
   interface (module-specific operations driven through the DII by
   tagged commands, Figure 3).
 - **data plane**: service requests assigned to the module pass through
-  :meth:`QoSModule.send_request`; modules that transform the byte
-  stream (compression, encryption) override :meth:`wrap` /
-  :meth:`unwrap` and their peer module on the receiving ORB undoes the
-  transformation.
+  :meth:`QoSModule.exchange`, the one client-side copy of "encode →
+  charge marshalling → wrap → carry → open → charge → decode".  Its two
+  halves, :meth:`~QoSModule.seal` and :meth:`~QoSModule.open`, are what
+  an AMI window runs per message.  Modules that transform the byte
+  stream (compression, encryption) implement :meth:`_wrap_one` /
+  :meth:`_unwrap_one` and their peer module on the receiving ORB undoes
+  the transformation.
 
 Transformed messages travel inside an **envelope**::
 
@@ -22,15 +25,14 @@ decoding — the on-the-wire realisation of the paper's module hierarchy.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.orb import giop
 from repro.orb.cdr import CDRDecoder, CDREncoder
 from repro.orb.dii import PseudoObject
-from repro.orb.exceptions import BAD_OPERATION, BAD_PARAM, MARSHAL
+from repro.orb.exceptions import BAD_OPERATION, BAD_PARAM, MARSHAL, SystemException
 from repro.orb.ior import IOR
 from repro.orb.request import Request
-from repro.perf.counters import COUNTERS
 
 ENVELOPE_MAGIC = b"MQOS"
 
@@ -187,21 +189,21 @@ class QoSModule:
         """Transform an outgoing message body.
 
         Returns ``(params, payload, cpu_seconds)``.  ``params`` travel
-        in the envelope so the peer can invert the transform.  The
-        default routes through the burst primitives so subclasses only
-        implement :meth:`_burst_prolog` / :meth:`_wrap_one` and get the
-        single-message path for free — byte-identical either way.
+        in the envelope so the peer can invert the transform.
+        Subclasses implement :meth:`_wrap_one`; the public pair stays
+        on this class, where ``bench/spans.py`` weaves its spans.
         """
-        return self._wrap_one(body, context, self._burst_prolog(context))
+        return self._wrap_one(body, context)
 
     def unwrap(self, params: Dict[str, Any], payload: bytes) -> Tuple[bytes, float]:
-        """Invert :meth:`wrap`.  Returns ``(body, cpu_seconds)``.
-
-        Subclasses implement :meth:`_unwrap_one`, as they implement
-        :meth:`_wrap_one`; the public pair stays on this class, where
-        ``bench/spans.py`` weaves its spans.
-        """
+        """Invert :meth:`wrap`.  Returns ``(body, cpu_seconds)``."""
         return self._unwrap_one(params, payload)
+
+    def _wrap_one(
+        self, body: bytes, context: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], bytes, float]:
+        """Transform one body under its binding's ``context``."""
+        return {}, body, 0.0
 
     def _unwrap_one(
         self, params: Dict[str, Any], payload: bytes
@@ -210,52 +212,73 @@ class QoSModule:
         a name they carry that resolves to nothing raises ``BAD_PARAM``."""
         return payload, 0.0
 
-    # -- burst primitives -------------------------------------------------
-    #
-    # A burst amortises the outgoing transform *setup* (codec/cipher
-    # table lookups, session-key resolution) across one AMI window
-    # (:meth:`repro.orb.ami.PipelinedChannel.flush`).  Only Python-level
-    # work is amortised: the simulated CPU cost of a transform is linear
-    # in the bytes processed, so the time model and the produced bytes
-    # are identical to N single wrap() calls — tests assert this.
+    def seal(
+        self, orb: Any, body: bytes, context: Optional[Dict[str, Any]], at: float
+    ) -> Tuple[bytes, float]:
+        """Make an encoded request ready to leave at ``at``.
 
-    def _burst_prolog(self, context: Dict[str, Any]) -> Any:
-        """Resolve per-burst outgoing transform state once."""
-        return None
-
-    def _wrap_one(
-        self, body: bytes, context: Dict[str, Any], state: Any
-    ) -> Tuple[Dict[str, Any], bytes, float]:
-        """Transform one body using prepared ``state``."""
-        return {}, body, 0.0
-
-    def wrap_burst(
-        self, bodies: Sequence[bytes], context: Dict[str, Any]
-    ) -> List[Tuple[Dict[str, Any], bytes, float]]:
-        """Wrap a batch of bodies with one prolog; byte-identical."""
-        state = self._burst_prolog(context)
-        out = [self._wrap_one(body, context, state) for body in bodies]
-        COUNTERS.module_bursts += 1
-        COUNTERS.module_burst_messages += len(out)
-        return out
-
-    def open_reply(self, reply_wire: bytes) -> Tuple[bytes, float]:
-        """Undo the peer module's envelope on a reply, if it has one.
-
-        Returns ``(giop_bytes, cpu_seconds)``; a bare reply (the server
-        could not even read the request) passes through at no cost.
+        Returns ``(wire, departure)``: the client pays the marshalling
+        of ``body`` and, when ``context`` is given, the transform CPU of
+        wrapping it into this module's envelope.
         """
-        if not is_envelope(reply_wire):
-            return reply_wire, 0.0
-        envelope_name, params, payload = decode_envelope(reply_wire)
-        if envelope_name != self.name:
-            raise MARSHAL(
-                f"reply wrapped by {envelope_name!r}, expected {self.name!r}"
+        departure = at + orb.marshal_cost(len(body))
+        if context is None:
+            return body, departure
+        params, payload, cpu = self.wrap(body, context)
+        return encode_envelope(self.name, params, payload), departure + cpu
+
+    def open(self, orb: Any, reply_wire: bytes, at: float) -> Tuple[giop.Reply, float]:
+        """Undo :meth:`seal` on a reply that arrived at ``at``.
+
+        Returns ``(reply, finish)``, charging the inverse transform and
+        the unmarshalling.  A bare reply (the server could not even
+        read the request) needs no unwrap; one this module cannot open
+        or decode raises its ``SystemException``.
+        """
+        cpu = 0.0
+        if is_envelope(reply_wire):
+            envelope_name, params, payload = decode_envelope(reply_wire)
+            if envelope_name != self.name:
+                raise MARSHAL(
+                    f"reply wrapped by {envelope_name!r}, expected {self.name!r}"
+                )
+            reply_wire, cpu = self.unwrap(params, payload)
+        finish = at + cpu
+        finish += orb.marshal_cost(len(reply_wire))
+        return giop.decode_reply(reply_wire), finish
+
+    def exchange(
+        self, orb: Any, request: Request, depart: float
+    ) -> Tuple[Optional[giop.Reply], Optional[SystemException], float, int, int]:
+        """One request through this module, leaving at ``depart``.
+
+        Returns ``(reply, error, finish, bytes_out, bytes_in)`` and
+        moves no clock, so callers with their own notion of time
+        (parallel fan-out, open-loop arrivals) share it.  A
+        ``SystemException`` raised carrying the request or opening its
+        reply comes back as ``error``, with no reply, no bytes in and
+        ``finish`` at the departure, so a fan-out goes on past one
+        failed leg.  A oneway returns no reply and finishes once its
+        message has left.
+        """
+        body = giop.encode_request(request)
+        context = self.context_for(request) if self.uses_envelope else None
+        wire, depart = self.seal(orb, body, context, depart)
+        host = request.target.profile.host
+        if not request.response_expected:
+            orb.one_way(host, wire, depart)
+            return None, None, depart, len(wire), 0
+        try:
+            reply_wire, finish = orb.round_trip(
+                host, wire, depart, self.reservations_for(request)
             )
-        return self.unwrap(params, payload)
+            reply, finish = self.open(orb, reply_wire, finish)
+        except SystemException as error:
+            return None, error, depart, len(wire), 0
+        return reply, None, finish, len(wire), len(reply_wire)
 
     def send_request(self, orb: Any, request: Request) -> giop.Reply:
-        """Client-side data path: encode, transform, transmit, decode.
+        """Client-side data path: :meth:`exchange` now, then wait for it.
 
         The default implementation covers every point-to-point module;
         group modules (multicast) override it wholesale.  Oneway
@@ -264,30 +287,14 @@ class QoSModule:
         processes it in its own (future) time, and no reply travels.
         """
         clock = orb.time_source
-        depart = clock.now()
-        wire = giop.encode_request(request)
-        depart += orb.marshal_cost(len(wire))
-        if self.uses_envelope:
-            params, payload, cpu = self.wrap(wire, self.context_for(request))
-            depart += cpu
-            wire = encode_envelope(self.name, params, payload)
-        if not request.response_expected:
-            orb.one_way(request.target.profile.host, wire, depart)
-            clock.wait_until(depart)
-            self.requests_sent += 1
-            return giop.Reply(request.request_id, {}, None, None)
-        reply_wire, finish = orb.round_trip(
-            request.target.profile.host,
-            wire,
-            depart,
-            self.reservations_for(request),
-        )
-        reply_wire, cpu = self.open_reply(reply_wire)
-        finish += cpu
-        finish += orb.marshal_cost(len(reply_wire))
+        reply, error, finish, _, _ = self.exchange(orb, request, clock.now())
+        if error is not None:
+            raise error
         clock.wait_until(finish)
         self.requests_sent += 1
-        return giop.decode_reply(reply_wire)
+        if reply is None:
+            return giop.Reply(request.request_id, {}, None, None)
+        return reply
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<QoSModule {self.name!r}>"

@@ -53,18 +53,14 @@ class CompressionModule(QoSModule):
 
     # -- data plane ----------------------------------------------------------
 
-    def _burst_prolog(self, context: Dict[str, Any]) -> Tuple[str, Any]:
+    def _wrap_one(
+        self, body: bytes, context: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], bytes, float]:
         # On the server side the reply is wrapped with the *request's*
         # envelope params as context; "requested" preserves the binding's
         # codec choice even when the request itself was incompressible.
         codec_name = context.get("requested", context.get("codec", DEFAULT_CODEC))
         compress, _ = peer_named(codecs.get_codec, codec_name)
-        return codec_name, compress
-
-    def _wrap_one(
-        self, body: bytes, context: Dict[str, Any], state: Tuple[str, Any]
-    ) -> Tuple[Dict[str, Any], bytes, float]:
-        codec_name, compress = state
         compressed = compress(body)
         cpu = codecs.cpu_cost(codec_name, len(body))
         self.bytes_in += len(body)

@@ -89,21 +89,15 @@ class CryptoModule(QoSModule):
         except KeyError:
             raise NO_PERMISSION(f"no session key installed under {key_id!r}") from None
 
-    def _burst_prolog(self, context: Dict[str, Any]) -> Tuple[str, str, Any, bytes]:
+    def _wrap_one(
+        self, body: bytes, context: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], bytes, float]:
         cipher_name = context.get("cipher", DEFAULT_CIPHER)
         key_id = context.get("key_id")
         if key_id is None:
             raise NO_PERMISSION("binding has no key_id configured; negotiate first")
         encrypt, _ = peer_named(ciphers.get_cipher, cipher_name)
-        return cipher_name, key_id, encrypt, self._key(key_id)
-
-    def _wrap_one(
-        self,
-        body: bytes,
-        context: Dict[str, Any],
-        state: Tuple[str, str, Any, bytes],
-    ) -> Tuple[Dict[str, Any], bytes, float]:
-        cipher_name, key_id, encrypt, key = state
+        key = self._key(key_id)
         payload = encrypt(key, body)
         params = {"cipher": cipher_name, "key_id": key_id}
         return params, payload, ciphers.cpu_cost(cipher_name, len(body))

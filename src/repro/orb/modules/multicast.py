@@ -116,14 +116,17 @@ class MulticastModule(QoSModule):
         self.fanouts += 1
         self.member_failures += sum(1 for o in outcomes if not o.responded)
         reply, finish = self._combine(policy, members, outcomes)
-        orb.clock.advance_to(finish)
+        orb.time_source.wait_until(finish)
         self.requests_sent += 1
         return reply
 
     def _fan_out(
         self, orb: Any, request: Request, members: List[IOR]
     ) -> List[MemberOutcome]:
-        depart_base = orb.clock.now
+        depart = orb.time_source.now()
+        # Each member leg is a plain GIOP exchange; the group semantics
+        # live in the combination policy, not in the legs.
+        iiop = orb.qos_transport.iiop_module
         outcomes: List[MemberOutcome] = []
         for member in members:
             per_member = Request(
@@ -132,17 +135,10 @@ class MulticastModule(QoSModule):
                 request.args,
                 service_contexts=request.service_contexts,
             )
-            wire = giop.encode_request(per_member)
-            depart = depart_base + orb.marshal_cost(len(wire))
-            try:
-                reply_wire, finish = orb.round_trip(
-                    member.profile.host, wire, depart
-                )
-                finish += orb.marshal_cost(len(reply_wire))
-                reply = giop.decode_reply(reply_wire)
-                outcomes.append(MemberOutcome(member, reply, finish, None))
-            except SystemException as error:
-                outcomes.append(MemberOutcome(member, None, None, error))
+            reply, error, finish, _, _ = iiop.exchange(orb, per_member, depart)
+            outcomes.append(
+                MemberOutcome(member, reply, None if error else finish, error)
+            )
         return outcomes
 
     def _combine(

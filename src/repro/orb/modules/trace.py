@@ -2,10 +2,10 @@
 
 A deliberately small module that shows how cheaply the reflective
 module layer extends (Section 4): it performs no transformation, just
-records every request it carries — operation, wire bytes, simulated
-round-trip — queryable through its dynamic interface.  Assign it to a
-binding to audit that relationship's traffic without touching either
-application side.
+records every request it carries — operation, wire bytes, round-trip
+seconds on the ORB's time source — queryable through its dynamic
+interface.  Assign it to a binding to audit that relationship's
+traffic without touching either application side.
 """
 
 from __future__ import annotations
@@ -37,19 +37,28 @@ class TraceModule(QoSModule):
     # -- data plane -----------------------------------------------------
 
     def send_request(self, orb: Any, request: Request) -> giop.Reply:
+        # Overridden (not just observed through ``exchange``) so traced
+        # bindings stay off the AMI pipeline, whose windows would pass
+        # by this record.
+        clock = orb.time_source
+        depart = clock.now()
+        reply, error, finish, bytes_out, _ = self.exchange(orb, request, depart)
+        if error is not None:
+            raise error
+        clock.wait_until(finish)
+        self.requests_sent += 1
         binding = binding_key(request.target)
-        started = orb.clock.now
-        wire_size = len(giop.encode_request(request))
-        reply = super().send_request(orb, request)
-        elapsed = orb.clock.now - started
+        elapsed = finish - depart
         history = self._records.setdefault(binding, deque(maxlen=HISTORY))
-        history.append((request.operation, wire_size, elapsed))
+        history.append((request.operation, bytes_out, elapsed))
         totals = self._totals.setdefault(
             binding, {"calls": 0.0, "bytes": 0.0, "seconds": 0.0}
         )
         totals["calls"] += 1
-        totals["bytes"] += wire_size
+        totals["bytes"] += bytes_out
         totals["seconds"] += elapsed
+        if reply is None:
+            return giop.Reply(request.request_id, {}, None, None)
         return reply
 
     # -- dynamic interface ------------------------------------------------

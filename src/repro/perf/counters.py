@@ -32,8 +32,6 @@ _FIELDS = (
     "sched_admitted",
     "sched_rejected",
     "sched_shed",
-    "module_bursts",
-    "module_burst_messages",
     "pipeline_windows",
     "pipeline_messages",
     "pipeline_inflight_peak",

@@ -2,8 +2,8 @@
 
 Three execution paths, selected by the spec:
 
-- **orb / open** — open-loop arrivals fanned out through the real
-  GIOP/round-trip datapath with the chaos campaign and fluid
+- **orb / open** — open-loop arrivals fanned out through the plain
+  GIOP module's ``exchange`` with the chaos campaign and fluid
   background interleaving on the same kernel; requests route to the
   least-backlogged live replica at each departure.
 - **orb / txn** — paced multi-call transactions through the full
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.orb import giop
 from repro.orb.exceptions import SystemException
 from repro.orb.request import Request
 from repro.perf import COUNTERS
@@ -200,35 +199,29 @@ def _run_open(spec: Spec, deployment: Deployment) -> ScenarioResult:
             target, operation, args,
             service_contexts={CLASS_CONTEXT: klass},
         )
-        wire = giop.encode_request(request)
-        depart += orb.marshal_cost(len(wire))
+        reply, error, finish, bytes_out, bytes_in = (
+            orb.qos_transport.iiop_module.exchange(orb, request, depart)
+        )
         flow = FlowRecord(
             flow_id=f"{source}:{index:05d}",
             klass=klass,
             src=source,
             dst=target.profile.host,
-            nbytes=len(wire),
-            start=base + offset,
-            end=base + offset,
+            nbytes=bytes_out + bytes_in,
+            start=depart,
+            end=depart,
         )
-        try:
-            reply_wire, finish = orb.round_trip(target.profile.host, wire, depart)
-            finish += orb.marshal_cost(len(reply_wire))
-            reply = giop.decode_reply(reply_wire)
+        if error is None:
             flow.end = finish
-            flow.nbytes += len(reply_wire)
-            if reply.exception is not None:
-                result.failures += 1
-                flow.drops = 1
-                flow.status = "failed"
-            else:
-                result.served += 1
-                result.latencies[klass].append(finish - (base + offset))
+            error = reply.exception
             last_finish = max(last_finish, finish)
-        except SystemException:
+        if error is not None:
             result.failures += 1
             flow.drops = 1
             flow.status = "failed"
+        else:
+            result.served += 1
+            result.latencies[klass].append(finish - depart)
         result.exporter.add(flow)
     clock.advance_to(last_finish)
     if clock.now < base + spec.duration:

@@ -9,9 +9,10 @@ Two execution styles:
   externally fixed arrival instants regardless of completions, so
   several are in flight at once and FIFO queues form at the servers.
   Synchronous stubs cannot express overlap, so the fan-out invoker
-  drives :meth:`ORB.round_trip` with explicit departure times — the
-  same time-explicit technique the multicast module uses for parallel
-  group delivery.
+  drives the plain GIOP module's
+  :meth:`~repro.orb.modules.base.QoSModule.exchange` with explicit
+  departure times — the same time-explicit call the multicast module
+  makes for parallel group delivery.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.netsim.kernel import EventKernel
-from repro.orb import giop
-from repro.orb.exceptions import SystemException
 from repro.orb.ior import IOR
 from repro.orb.request import Request
 
@@ -208,6 +207,7 @@ def open_loop_fanout(
     if not arrivals:
         return ClosedLoopResult([], 0, 0.0)
     ordered = sorted(arrivals, key=lambda a: a.time)
+    iiop = orb.qos_transport.iiop_module
     clock = orb.clock
     base = clock.now
     latencies: List[float] = []
@@ -224,32 +224,23 @@ def open_loop_fanout(
             arrival.args,
             service_contexts=arrival.contexts,
         )
-        wire = giop.encode_request(request)
-        depart += orb.marshal_cost(len(wire))
-        try:
-            reply_wire, finish = orb.round_trip(
-                target.profile.host, wire, depart
-            )
-            finish += orb.marshal_cost(len(reply_wire))
-            reply = giop.decode_reply(reply_wire)
+        reply, error, finish, _, _ = iiop.exchange(orb, request, depart)
+        if error is None:
             backpressure = getattr(orb, "backpressure", None)
             if backpressure is not None:
                 backpressure.observe_reply(
                     target.profile.host, reply.service_contexts, finish
                 )
-            if reply.exception is not None:
-                failures += 1
-                if observer is not None:
-                    observer(arrival, None, reply.exception)
-            else:
-                latency = finish - (base + arrival.time)
-                latencies.append(latency)
-                if observer is not None:
-                    observer(arrival, latency, None)
+            error = reply.exception
             last_finish = max(last_finish, finish)
-        except SystemException as error:
+        if error is not None:
             failures += 1
             if observer is not None:
                 observer(arrival, None, error)
+        else:
+            latency = finish - depart
+            latencies.append(latency)
+            if observer is not None:
+                observer(arrival, latency, None)
     clock.advance_to(last_finish)
     return ClosedLoopResult(latencies, failures, last_finish - base)

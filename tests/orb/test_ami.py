@@ -18,7 +18,8 @@ import pytest
 from repro.core.mediator import Mediator, MediatorChain
 from repro.orb import QOS_TAG, TaggedComponent, World
 from repro.orb.dii import DIIRequest
-from repro.orb.modules.base import binding_key
+from repro.orb.exceptions import MARSHAL
+from repro.orb.modules.base import binding_key, decode_envelope
 from repro.orb.ami import ReplyFuture
 from repro.orb.request import reset_request_ids
 from repro.orb.servant import Servant
@@ -200,6 +201,32 @@ class TestSyncEquivalence:
         assert results == [t.upper() for t in texts]
         assert wires_b == wires_a
 
+    def test_each_request_in_a_window_keeps_its_own_binding_config(self):
+        """A codec switch between two deferred calls shows on the wire,
+        as it does between two synchronous ones."""
+
+        def requested_codecs(deferred):
+            _, client, ior, _ = build_world(qos=True)
+            client.qos_transport.assign(ior, "compression")
+            module = client.qos_transport.module("compression")
+            stub = EchoStub(client, ior)
+            seen = []
+            client.world.orb("server").add_wire_observer(
+                lambda d, w: d == "in" and seen.append(decode_envelope(w)[1])
+            )
+            calls = []
+            for codec in ("lz", "rle"):
+                module.set_codec(binding_key(ior), codec)
+                send = stub.send_deferred if deferred else stub._call
+                calls.append(send("echo", codec * 60))
+            if deferred:
+                calls = [future.result() for future in calls]
+            assert calls == ["LZ" * 60, "RLE" * 60]
+            return [params["requested"] for params in seen]
+
+        assert requested_codecs(deferred=False) == ["lz", "rle"]
+        assert requested_codecs(deferred=True) == ["lz", "rle"]
+
     def test_pipelined_window_beats_sync_latency(self):
         count = 8
         world_a, client_a, ior_a, _ = build_world()
@@ -259,6 +286,27 @@ class TestPipelineMechanics:
         assert [f.result() for f in futures] == [
             f"{label.upper()}{i}" for i, label in enumerate(labels)
         ]
+
+    def test_an_undecodable_reply_fails_only_its_own_future(self, monkeypatch):
+        _, client, ior, _ = build_world()
+        server = client.world.orb("server")
+        serve = server.handle_incoming
+        served = []
+
+        def truncate_second_reply(wire, at_time):
+            reply_wire, finish = serve(wire, at_time)
+            served.append(reply_wire)
+            if len(served) == 2:
+                reply_wire = reply_wire[:-6]
+            return reply_wire, finish
+
+        monkeypatch.setattr(server, "handle_incoming", truncate_second_reply)
+        stub = EchoStub(client, ior)
+        futures = [stub.send_deferred("echo", f"r{i}") for i in range(3)]
+        client.ami.flush()
+        assert all(future.done for future in futures)
+        assert isinstance(futures[1].exception(), MARSHAL)
+        assert [futures[0].result(), futures[2].result()] == ["R0", "R2"]
 
     def test_channels_are_per_binding(self):
         reset_request_ids()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.orb import giop
 from repro.orb.exceptions import BAD_PARAM, OVERLOAD, SystemException
-from repro.orb.ior import IIOPProfile, IOR
+from repro.orb.ior import GROUP_TAG, QOS_TAG, IIOPProfile, IOR, TaggedComponent
 from repro.orb.modules.base import encode_envelope
 from repro.orb.request import Request, reset_request_ids
 from repro.orb.stub import Stub
@@ -113,6 +113,24 @@ class TestWallClockQoS:
                 )
                 assert client.orb.backpressure.hints_observed >= len(shed)
 
+    def test_trace_module_times_calls_on_the_wall_clock(self):
+        orb = make_rt_orb("server")
+        ior = orb.poa.activate_object(
+            ConformanceEchoServant("traced"),
+            object_key="echo",
+            components=[TaggedComponent(QOS_TAG, {"characteristics": ["trace"]})],
+        )
+        with RtServer(orb) as server:
+            with RtClient({"server": server.address}) as client:
+                binding = client.assign(ior, "trace")
+                for i in range(5):
+                    assert client.invoke(Request(ior, "echo", (f"t{i}",))) == f"T{i}"
+                totals = client.module("trace").totals(binding)
+        assert totals["calls"] == 5.0
+        assert totals["bytes"] > 0
+        # Each call took real time on the client's clock.
+        assert totals["seconds"] > 0.0
+
     def test_reliable_invoker_fails_over_to_live_replica(self):
         import socket
 
@@ -124,8 +142,6 @@ class TestWallClockQoS:
         live = orb.poa.activate_object(
             ConformanceEchoServant("replica-2"), object_key="rep"
         )
-        from repro.orb.ior import GROUP_TAG, TaggedComponent
-
         primary = IOR("IDL:test/Echo:1.0", IIOPProfile("s1", 683, "rep"), [])
         group = IOR(
             "IDL:test/Echo:1.0",

@@ -23,6 +23,10 @@ PAPERS.md), and are cheap enough to run in tier-1:
 6. **One event kernel**: ``netsim/parallel/`` takes nothing from
    ``repro.netsim.kernel`` but ``KernelError``; its serial fallback is
    one of its own shard runtimes, not a second engine.
+7. **One client data path**: ``giop.encode_*`` / ``decode_*`` are
+   called (or imported) under ``orb/`` only, where
+   ``QoSModule.exchange`` builds every request; the one listed
+   exception re-encodes captured replies for comparison.
 
 One dynamic check pins what the DAG buys: a netsim-only process never
 loads ``asyncio`` or any package above ``core``.
@@ -406,6 +410,63 @@ def test_the_kernel_rule_sees_every_import_form():
     assert sorted(_serial_kernel_imports(tree)) == [
         "*", "*", "EventKernel", "KernelError"
     ]
+
+
+# -- 7. one client data path ------------------------------------------------
+
+#: ``(file, function)`` pairs outside ``orb/`` allowed to touch the GIOP
+#: codec.  The conformance suite scrubs the one substrate-dependent hint
+#: from replies it captured and re-encodes them; it builds no request.
+GIOP_CODEC_EXCEPTIONS = {("repro/rt/conformance.py", "canonical_reply")}
+
+
+def _giop_codec_uses(node, scope="<module>"):
+    """``(enclosing function, name)`` per GIOP encode/decode called or imported."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _is_giop_codec(ast.unparse(child.func)):
+            yield scope, ast.unparse(child.func)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield from ((scope, n) for n in _imported_names(child) if _is_giop_codec(n))
+        inner = (
+            child.name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else scope
+        )
+        yield from _giop_codec_uses(child, inner)
+
+
+def _giop_codec_outside_orb(modules):
+    return sorted(
+        f"{path}:{scope} {name}"
+        for path, tree in modules
+        if not path.startswith("repro/orb/")
+        for scope, name in _giop_codec_uses(tree)
+        if (path, scope) not in GIOP_CODEC_EXCEPTIONS
+    )
+
+
+def test_giop_is_encoded_and_decoded_in_the_orb_only():
+    assert _giop_codec_outside_orb(_modules()) == []
+
+
+def test_the_data_path_rule_catches_an_injected_call():
+    tree = ast.parse(
+        "from repro.orb import giop\n"
+        "def canonical_reply(wire):\n    return giop.decode_reply(wire)\n"
+        "def run(request):\n    return giop.encode_request(request)\n"
+        "from repro.orb.giop import decode_reply\n"
+    )
+    assert _giop_codec_outside_orb([("repro/scenario/runner.py", tree)]) == [
+        "repro/scenario/runner.py:<module> repro.orb.giop.decode_reply",
+        "repro/scenario/runner.py:canonical_reply giop.decode_reply",
+        "repro/scenario/runner.py:run giop.encode_request",
+    ]
+    # The exception covers its one function in its one file.
+    assert _giop_codec_outside_orb([("repro/rt/conformance.py", tree)]) == [
+        "repro/rt/conformance.py:<module> repro.orb.giop.decode_reply",
+        "repro/rt/conformance.py:run giop.encode_request",
+    ]
+    assert _giop_codec_outside_orb([("repro/orb/ami.py", tree)]) == []
 
 
 # -- what the DAG buys -------------------------------------------------------
