@@ -257,9 +257,10 @@ class ORB:
         return reply_wire, finish
 
     def _refuse(self, error: Exception, at_time: float) -> Tuple[bytes, float]:
-        """Answer an envelope this broker cannot honour with a bare
-        system exception: request id 0 (nothing to correlate by) and no
-        module transform on the reply."""
+        """Answer a message this broker cannot read or an envelope it
+        cannot honour with a bare system exception: request id 0
+        (nothing to correlate by) and no module transform on the
+        reply."""
         reply = giop.encode_reply(0, exception=error)
         return reply, at_time + self.marshal_cost(len(reply))
 
@@ -285,17 +286,21 @@ class ORB:
             module.requests_served += 1
         at_time += self.marshal_cost(len(wire))
 
-        if giop.message_type(wire) == giop.MSG_LOCATE_REQUEST:
-            request_id, object_key = giop.decode_locate_request(wire)
-            status = (
-                giop.OBJECT_HERE
-                if object_key in self.poa.active_keys()
-                else giop.UNKNOWN_OBJECT
-            )
-            reply = giop.encode_locate_reply(request_id, status)
-            return reply, at_time + self.marshal_cost(len(reply))
-
-        request = giop.decode_request(wire)
+        # The GIOP body is the peer's too: a malformed one is answered
+        # like a bad envelope, so a socket connection outlives it.
+        try:
+            if giop.message_type(wire) == giop.MSG_LOCATE_REQUEST:
+                request_id, object_key = giop.decode_locate_request(wire)
+                status = (
+                    giop.OBJECT_HERE
+                    if object_key in self.poa.active_keys()
+                    else giop.UNKNOWN_OBJECT
+                )
+                reply = giop.encode_locate_reply(request_id, status)
+                return reply, at_time + self.marshal_cost(len(reply))
+            request = giop.decode_request(wire)
+        except MARSHAL as error:
+            return self._refuse(error, at_time)
         result: Any = None
         exception: Optional[Exception] = None
         reply_contexts: Optional[Dict[str, Any]] = None

@@ -31,6 +31,7 @@ from repro.orb.ami import ReplyFuture
 from repro.orb.contexts import RETRY_AFTER_CONTEXT
 from repro.orb.exceptions import SystemException, is_unexecuted
 from repro.orb.ior import IOR
+from repro.orb.modules.base import clear_envelope_tables
 from repro.orb.orb import ORB
 from repro.orb.request import Request, command as make_command, reset_request_ids
 from repro.orb.stub import Stub
@@ -212,6 +213,7 @@ def _run_scenario(scenario: Scenario, driver_class: type) -> Dict[str, Any]:
     reset_request_ids()
     giop.clear_caches()
     ior_mod.clear_caches()
+    clear_envelope_tables()
     driver = driver_class(scenario)
     try:
         iors = scenario.build(driver.orb_for)

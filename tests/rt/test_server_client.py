@@ -6,7 +6,7 @@ The transport's failure contract is pinned in ``test_transport_seam.py``.
 import pytest
 
 from repro.orb import giop
-from repro.orb.exceptions import BAD_PARAM, OVERLOAD, SystemException
+from repro.orb.exceptions import BAD_PARAM, MARSHAL, OVERLOAD, SystemException
 from repro.orb.ior import GROUP_TAG, QOS_TAG, IIOPProfile, IOR, TaggedComponent
 from repro.orb.modules.base import encode_envelope
 from repro.orb.request import Request, reset_request_ids
@@ -80,6 +80,15 @@ class TestRoundTrips:
         reply = giop.decode_reply(connection.round_trip(hostile))
         assert type(reply.exception) is BAD_PARAM
         # Same socket, next frame: the handler task survived the refusal.
+        assert client.connection("server") is connection
+        assert client.invoke(Request(ior, "whoami", ())) == "wall"
+
+    def test_truncated_request_is_answered_and_the_connection_lives(self, served):
+        _, client, ior = served
+        connection = client.connection("server")
+        wire = giop.encode_request(Request(ior, "echo", ("cut short",)))
+        reply = giop.decode_reply(connection.round_trip(wire[:-10]))
+        assert type(reply.exception) is MARSHAL
         assert client.connection("server") is connection
         assert client.invoke(Request(ior, "whoami", ())) == "wall"
 
