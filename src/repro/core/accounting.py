@@ -110,8 +110,8 @@ class MeteringMediator:
 
     def invoke(self, stub: Any, operation: str, args: Tuple[Any, ...]) -> Any:
         self.calls_intercepted += 1
-        clock = stub._orb.clock
-        started = clock.now
+        now = stub._orb.time_source.now
+        started = now()
         failed = False
         try:
             if self.inner is not None:
@@ -122,7 +122,7 @@ class MeteringMediator:
             raise
         finally:
             self.accounting.record(
-                self.agreement.agreement_id, clock.now - started, failed
+                self.agreement.agreement_id, now() - started, failed
             )
 
     def install(self, stub: Any) -> "MeteringMediator":

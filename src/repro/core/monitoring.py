@@ -211,14 +211,14 @@ class MeasuringMediator:
 
     def invoke(self, stub: Any, operation: str, args: Tuple[Any, ...]) -> Any:
         self.calls_intercepted += 1
-        clock = stub._orb.clock
-        started = clock.now
+        now = stub._orb.time_source.now
+        started = now()
         try:
             if self.inner is not None:
                 return self.inner.invoke(stub, operation, args)
             return stub._invoke(operation, args)
         finally:
-            self.monitor.observe("latency", clock.now - started)
+            self.monitor.observe("latency", now() - started)
 
     def install(self, stub: Any) -> "MeasuringMediator":
         stub._set_mediator(self)

@@ -274,10 +274,21 @@ def _decode_span(
     decoder = CDRDecoder(data)
     decoder._offset = offset
     value = read(decoder)
+    if decoder._offset != decoder._len:
+        raise _trailing(decoder)
     if tail is not None:
         cache.put(tail, (_copy_plain(value),))
     COUNTERS.any_span_misses += 1
     return value
+
+
+def _trailing(decoder: CDRDecoder) -> MARSHAL:
+    """A message ends at its last field: bytes after it are ``MARSHAL``.
+
+    Only field-by-field parses test for them; a replay is keyed on exact
+    bytes that already passed the test.
+    """
+    return MARSHAL(f"{decoder.remaining} trailing byte(s) after the last field")
 
 
 def _write_args(encoder: CDREncoder, args: Tuple[Any, ...]) -> None:
@@ -483,6 +494,8 @@ def decode_request(data: bytes) -> Request:
     preamble_end = decoder._offset
     if head is None:
         args = _read_args(decoder)
+        if decoder._offset != decoder._len:
+            raise _trailing(decoder)
         COUNTERS.any_span_misses += 1  # the args span, decoded unprobed
     else:
         args = _decode_span(_args_decode_cache, data, preamble_end, _read_args)
@@ -650,4 +663,6 @@ def decode_reply(data: bytes) -> Reply:
         exception = system_exception_from_wire(repo_id, message, minor)
     else:
         raise MARSHAL(f"unknown reply status: {status}")
+    if decoder._offset != decoder._len:
+        raise _trailing(decoder)
     return Reply(request_id, contexts, None, exception)

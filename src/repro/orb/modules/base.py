@@ -112,9 +112,9 @@ def decode_envelope(data: bytes) -> Tuple[str, Dict[str, Any], bytes]:
                 end = length + 4
                 if end <= len(data):
                     end += _unpack_ulong(data, length)[0]
-                    if end <= len(data):
+                    if end == len(data):
                         return entry[0], dict(entry[1]), data[length + 4 : end]
-                break  # cut short: the parse below raises the MARSHAL
+                break  # cut short or overlong: the parse below raises
         else:
             _header_decode_cache.missed()  # once, however many lengths
     decoder = CDRDecoder(data)
@@ -127,6 +127,8 @@ def decode_envelope(data: bytes) -> Tuple[str, Dict[str, Any], bytes]:
         raise MARSHAL("envelope params must decode to a map")
     length = decoder._offset
     payload = decoder.read_octets()
+    if decoder._offset != decoder._len:
+        raise MARSHAL(f"{decoder.remaining} trailing byte(s) after the payload")
     if probe:
         key = _header_key(module_name, params)
         if key is not None:

@@ -35,17 +35,17 @@ class ActualityMediator(Mediator):
         self.calls_intercepted += 1
         if operation not in self.cacheable:
             return self.issue(stub, operation, args)
-        clock = stub._orb.clock
+        now = stub._orb.time_source.now
         key = _cache_key(operation, args)
         cached = self._cache.get(key)
         if cached is not None:
             value, stored_at = cached
-            if clock.now - stored_at <= self.max_age:
+            if now() - stored_at <= self.max_age:
                 self.hits += 1
                 return value
         self.misses += 1
         value = self.issue(stub, operation, args)
-        self._cache[key] = (value, clock.now)
+        self._cache[key] = (value, now())
         return value
 
     def invalidate(self, operation: Optional[str] = None) -> int:

@@ -105,7 +105,7 @@ class LoadBalancingMediator(Mediator):
         if not self._workers:
             # No pool yet: pass the call through to the bound object.
             return self.issue(stub, operation, args)
-        clock = stub._orb.clock
+        now = stub._orb.time_source.now
         last_error: Optional[SystemException] = None
         while self._workers:
             index = self.policy.choose(len(self._workers), self._stats)
@@ -113,7 +113,7 @@ class LoadBalancingMediator(Mediator):
             stats = self._stats[index]
             stats.assigned += 1
             self.redirections += 1
-            started = clock.now
+            started = now()
             try:
                 result = stub._invoke(
                     operation,
@@ -123,7 +123,7 @@ class LoadBalancingMediator(Mediator):
                     },
                     target=worker,
                 )
-                stats.record(clock.now - started)
+                stats.record(now() - started)
                 return result
             except (COMM_FAILURE, TRANSIENT) as error:
                 stats.failures += 1

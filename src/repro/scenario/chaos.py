@@ -7,6 +7,10 @@ either literal events or seeded *generators* (``crash_wave``,
 ``loss_ramp``) that expand deterministically, and every campaign has a
 canonical line form whose SHA-256 digest is the replay oracle: same
 spec + same seed -> same digest -> same injected fault sequence.
+
+Each ``[[chaos]]`` entry is read through its kind's declared row
+(:data:`ROWS`, via :func:`repro.scenario.schema.read`): an unknown key
+or an ill-typed or out-of-range value is a :class:`ChaosError`.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ import hashlib
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.scenario.schema import (
+    count, declare, declared, host_groups, host_pair, interval,
+    non_negative, nonempty_host_list, positive, read, string,
+)
 
 __all__ = ["Campaign", "ChaosEvent", "ChaosError"]
 
@@ -38,60 +47,105 @@ class ChaosEvent:
         return f"{self.at:.9f} {self.kind} {self.args!r}"
 
 
-def _crash_wave(
-    entry: Dict[str, Any], seed: int, index: int
-) -> List[ChaosEvent]:
-    """Expand a seeded wave of crash/recover pairs rolling over hosts."""
-    hosts = list(entry["hosts"])
-    start = float(entry["at"])
-    interval = float(entry.get("interval", 0.05))
-    downtime = float(entry.get("downtime", 0.04))
-    waves = int(entry.get("waves", 1))
-    if interval <= 0.0 or downtime <= 0.0:
-        raise ChaosError(
-            f"chaos[{index}]: crash_wave interval/downtime must be positive "
-            f"(got interval={interval}, downtime={downtime})"
-        )
-    rng = random.Random(f"{seed}:crash_wave:{index}")
-    events: List[ChaosEvent] = []
-    t = start
-    for _wave in range(waves):
-        order = list(hosts)
-        rng.shuffle(order)
-        for host in order:
-            events.append(ChaosEvent(round(t, 9), "crash", (host,)))
-            events.append(ChaosEvent(round(t + downtime, 9), "recover", (host,)))
-            t += interval
-    return events
+# -- spec rows: one declared table per ``[[chaos]]`` kind ----------------------
 
 
-def _loss_ramp(entry: Dict[str, Any], index: int) -> List[ChaosEvent]:
-    """Expand a stepwise loss ramp on one link, ending healed."""
-    link = tuple(entry["link"])
-    start = float(entry["at"])
-    steps = int(entry.get("steps", 4))
-    step_every = float(entry.get("step_every", 0.1))
-    max_rate = float(entry.get("max_rate", 0.2))
-    if steps < 1 or step_every <= 0.0:
-        raise ChaosError(
-            f"chaos[{index}]: loss_ramp needs steps >= 1 and step_every > 0"
-        )
-    if not 0.0 < max_rate < 1.0:
-        raise ChaosError(
-            f"chaos[{index}]: loss_ramp max_rate must be in (0, 1): {max_rate}"
-        )
-    events = [
-        ChaosEvent(
-            round(start + step * step_every, 9),
-            "loss",
-            (link, round(max_rate * (step + 1) / steps, 9)),
-        )
-        for step in range(steps)
-    ]
-    events.append(
-        ChaosEvent(round(start + steps * step_every, 9), "loss", (link, 0.0))
-    )
-    return events
+@declared
+class _Row:
+    """A literal event; ``heal`` has nothing more."""
+
+    kind: str = declare(string)
+    at: float = declare(non_negative)
+
+    def args(self) -> Tuple[Any, ...]:
+        return ()
+
+    def events(self, seed: int, index: int) -> List[ChaosEvent]:
+        return [ChaosEvent(self.at, self.kind, self.args())]
+
+
+@declared
+class _HostRow(_Row):
+    """``crash`` / ``recover`` one host."""
+
+    host: str = declare(string)
+
+    def args(self) -> Tuple[Any, ...]:
+        return (self.host,)
+
+
+@declared
+class _PartitionRow(_Row):
+    groups: List[List[str]] = declare(host_groups)
+
+    def args(self) -> Tuple[Any, ...]:
+        return tuple(tuple(sorted(group)) for group in self.groups)
+
+
+@declared
+class _LossRow(_Row):
+    link: List[str] = declare(host_pair)
+    rate: float = declare(interval("[0, 1)"), 0.0)
+
+    def args(self) -> Tuple[Any, ...]:
+        return (tuple(self.link), self.rate)
+
+
+@declared
+class _CrashWaveRow(_Row):
+    """A seeded wave of crash/recover pairs rolling over hosts."""
+
+    hosts: List[str] = declare(nonempty_host_list)
+    interval: float = declare(positive, 0.05)
+    downtime: float = declare(positive, 0.04)
+    waves: int = declare(count, 1)
+
+    def events(self, seed: int, index: int) -> List[ChaosEvent]:
+        rng = random.Random(f"{seed}:crash_wave:{index}")
+        events: List[ChaosEvent] = []
+        t = self.at
+        for _wave in range(self.waves):
+            order = list(self.hosts)
+            rng.shuffle(order)
+            for host in order:
+                events.append(ChaosEvent(round(t, 9), "crash", (host,)))
+                events.append(
+                    ChaosEvent(round(t + self.downtime, 9), "recover", (host,))
+                )
+                t += self.interval
+        return events
+
+
+@declared
+class _LossRampRow(_Row):
+    """A stepwise loss ramp on one link, ending healed."""
+
+    link: List[str] = declare(host_pair)
+    steps: int = declare(count, 4)
+    step_every: float = declare(positive, 0.1)
+    max_rate: float = declare(interval("(0, 1)"), 0.2)
+
+    def events(self, seed: int, index: int) -> List[ChaosEvent]:
+        rates = [
+            round(self.max_rate * (step + 1) / self.steps, 9)
+            for step in range(self.steps)
+        ]
+        return [
+            ChaosEvent(
+                round(self.at + step * self.step_every, 9), "loss",
+                (tuple(self.link), rate),
+            )
+            for step, rate in enumerate(rates + [0.0])
+        ]
+
+
+#: Spec kind -> its row: the literals, then the seeded generators.  A
+#: spec's ``chaos`` field holds tables only (``schema.tables``).
+ROWS = {
+    "crash": _HostRow, "recover": _HostRow, "partition": _PartitionRow,
+    "heal": _Row, "loss": _LossRow,
+    "crash_wave": _CrashWaveRow, "loss_ramp": _LossRampRow,
+}
 
 
 class Campaign:
@@ -107,74 +161,22 @@ class Campaign:
 
     @classmethod
     def from_dicts(
-        cls,
-        entries: Sequence[Dict[str, Any]],
-        seed: int = 0,
-        hosts: Optional[Sequence[str]] = None,
-        duration: Optional[float] = None,
+        cls, entries: Sequence[Dict[str, Any]], seed: int = 0,
+        hosts: Optional[Sequence[str]] = None, duration: Optional[float] = None,
     ) -> "Campaign":
-        """Expand spec-file entries into a validated campaign.
-
-        Literal kinds: ``crash``/``recover`` (``host``), ``partition``
-        (``groups``), ``heal``, ``loss`` (``link``, ``rate``).  Seeded
-        generators: ``crash_wave``, ``loss_ramp``.
-        """
+        """Read each entry through its kind's row (:data:`ROWS`), expand."""
         events: List[ChaosEvent] = []
         for index, entry in enumerate(entries):
             kind = entry.get("kind")
             if kind is None:
                 raise ChaosError(f"chaos[{index}]: missing 'kind'")
-            if "at" not in entry:
-                raise ChaosError(f"chaos[{index}] ({kind}): missing 'at'")
-            at = float(entry["at"])
-            if at < 0.0:
-                raise ChaosError(
-                    f"chaos[{index}] ({kind}): 'at' must be non-negative, got {at}"
-                )
-            if kind in ("crash", "recover"):
-                if "host" not in entry:
-                    raise ChaosError(f"chaos[{index}] ({kind}): missing 'host'")
-                events.append(ChaosEvent(at, kind, (entry["host"],)))
-            elif kind == "partition":
-                groups = entry.get("groups")
-                if not groups or not all(group for group in groups):
-                    raise ChaosError(
-                        f"chaos[{index}] (partition): needs non-empty 'groups' "
-                        "(a list of host lists)"
-                    )
-                canonical = tuple(tuple(sorted(group)) for group in groups)
-                events.append(ChaosEvent(at, "partition", canonical))
-            elif kind == "heal":
-                events.append(ChaosEvent(at, "heal", ()))
-            elif kind == "loss":
-                link = entry.get("link")
-                if not link or len(link) != 2:
-                    raise ChaosError(
-                        f"chaos[{index}] (loss): 'link' must name two hosts"
-                    )
-                rate = float(entry.get("rate", 0.0))
-                if not 0.0 <= rate < 1.0:
-                    raise ChaosError(
-                        f"chaos[{index}] (loss): rate must be in [0, 1): {rate}"
-                    )
-                events.append(ChaosEvent(at, "loss", (tuple(link), rate)))
-            elif kind == "crash_wave":
-                if not entry.get("hosts"):
-                    raise ChaosError(
-                        f"chaos[{index}] (crash_wave): needs non-empty 'hosts'"
-                    )
-                events.extend(_crash_wave(entry, seed, index))
-            elif kind == "loss_ramp":
-                if not entry.get("link") or len(entry["link"]) != 2:
-                    raise ChaosError(
-                        f"chaos[{index}] (loss_ramp): 'link' must name two hosts"
-                    )
-                events.extend(_loss_ramp(entry, index))
-            else:
+            if not isinstance(kind, str) or kind not in ROWS:
                 raise ChaosError(
                     f"chaos[{index}]: unknown kind {kind!r}; expected one of "
-                    f"{KINDS + ('crash_wave', 'loss_ramp')}"
+                    f"{tuple(ROWS)}"
                 )
+            row = read(ROWS[kind], f"chaos[{index}] ({kind})", entry, ChaosError)
+            events.extend(row.events(seed, index))
         campaign = cls(events, seed=seed)
         campaign.validate(hosts=hosts, duration=duration)
         return campaign
@@ -189,7 +191,6 @@ class Campaign:
         """Reject scripts that cannot be what the author meant."""
         known = set(hosts) if hosts is not None else None
         partition_open: Optional[float] = None
-        partitions_seen = 0
         down: Dict[str, float] = {}
         for event in self.events:
             if duration is not None and event.at > duration:
@@ -212,17 +213,11 @@ class Campaign:
                         "still open; heal it first"
                     )
                 partition_open = event.at
-                partitions_seen += 1
             elif event.kind == "heal":
                 if partition_open is None:
                     raise ChaosError(
-                        f"heal at {event.at} precedes every partition"
-                        + (
-                            ""
-                            if not partitions_seen
-                            else " still open at that instant"
-                        )
-                        + "; schedule the partition first"
+                        f"heal at {event.at} precedes every partition still "
+                        "open at that instant; schedule the partition first"
                     )
                 partition_open = None
             elif event.kind == "crash":
@@ -275,17 +270,11 @@ class Campaign:
     def install(self, injector: Any, network: Any) -> int:
         """Schedule every event on the injector's kernel; returns count."""
         for event in self.events:
-            if event.kind == "crash":
-                injector.crash_at(event.at, event.args[0])
-            elif event.kind == "recover":
-                injector.recover_at(event.at, event.args[0])
-            elif event.kind == "partition":
-                injector.partition_at(event.at, *[list(g) for g in event.args])
-            elif event.kind == "heal":
-                injector.heal_at(event.at)
-            elif event.kind == "loss":
+            if event.kind == "loss":
                 (a, b), rate = event.args
                 injector.set_loss_at(event.at, network.link_between(a, b), rate)
-            else:  # pragma: no cover - guarded by from_dicts
-                raise ChaosError(f"cannot install kind {event.kind!r}")
+            elif event.kind == "partition":
+                injector.partition_at(event.at, *[list(g) for g in event.args])
+            else:  # crash_at / recover_at (one host), heal_at (nothing)
+                getattr(injector, f"{event.kind}_at")(event.at, *event.args)
         return len(self.events)

@@ -136,3 +136,47 @@ class TestDeepNesting:
         frame = b"\x00\x00\x00\x01" + header * 20_000
         with pytest.raises(MARSHAL, match="nested too deeply"):
             decode_values(frame)
+
+
+class TestTrailingBytes:
+    """Bytes after a message's last field are MARSHAL, on the first
+    (field-by-field) parse and after the decoder has learned the shape."""
+
+    JUNK = b"trailing junk"
+
+    def test_envelope(self):
+        wire = encode_envelope("compression", {"codec": "lz"}, b"abc")
+        with pytest.raises(MARSHAL, match="trailing"):
+            decode_envelope(wire + self.JUNK)
+        assert decode_envelope(wire)[2] == b"abc"  # learns the header
+        assert decode_envelope(wire)[2] == b"abc"  # a header-table hit
+        with pytest.raises(MARSHAL, match="trailing"):
+            decode_envelope(wire + self.JUNK)
+
+    def test_request(self):
+        from repro.orb.ior import IOR, IIOPProfile
+        from repro.orb.request import Request
+
+        target = IOR("IDL:adv/Echo:1.0", IIOPProfile("server", 683, "obj-1"))
+        wire = giop.encode_request(Request(target, "echo", ("x",), request_id=3))
+        for _ in range(3):  # a cold parse, then preamble and span replays
+            with pytest.raises(MARSHAL, match="trailing"):
+                giop.decode_request(wire + self.JUNK)
+            assert tuple(giop.decode_request(wire).args) == ("x",)
+        assert giop._request_decode_cache.hits  # the replay path ran
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"result": "x"},
+            {"exception": MARSHAL("bad")},
+        ],
+        ids=["result", "system-exception"],
+    )
+    def test_reply(self, reply):
+        wire = giop.encode_reply(9, **reply)
+        for _ in range(3):
+            with pytest.raises(MARSHAL, match="trailing"):
+                giop.decode_reply(wire + self.JUNK)
+            assert giop.decode_reply(wire).request_id == 9
+        assert giop._reply_decode_cache.hits  # the replay path ran

@@ -24,6 +24,11 @@ class _WhoAmI(Stub):
         return self._call("whoami")
 
 
+class _Echo(Stub):
+    def echo(self, text):
+        return self._call("echo", text)
+
+
 @pytest.fixture(autouse=True)
 def _fresh_ids():
     reset_request_ids()
@@ -103,6 +108,34 @@ class TestRoundTrips:
 
 
 class TestWallClockQoS:
+    def test_measuring_mediator_times_calls_on_the_wall_clock(self, served):
+        from repro.core.monitoring import MeasuringMediator, QoSMonitor
+        from repro.core.negotiation import Agreement
+
+        _, client, ior = served
+        monitor = QoSMonitor(Agreement("X", {}), None, min_samples=1)
+        stub = _Echo(client.orb, ior)
+        MeasuringMediator(monitor).install(stub)
+        for _ in range(3):
+            assert stub.echo("m") == "M"
+        window = monitor.window("latency")
+        assert len(window) == 3
+        assert window.min() > 0.0  # the client's simulated clock stays idle
+
+    def test_actuality_mediator_ages_its_cache_on_the_wall_clock(self, served):
+        import time
+
+        from repro.qos.actuality.freshness import ActualityMediator
+
+        _, client, ior = served
+        stub = _Echo(client.orb, ior)
+        mediator = ActualityMediator(cacheable=["echo"], max_age=0.05)
+        mediator.install(stub)
+        assert stub.echo("a") == "A"
+        time.sleep(0.2)
+        assert stub.echo("a") == "A"
+        assert (mediator.hits, mediator.misses) == (0, 2)  # 200 ms is stale
+
     def test_scheduler_sheds_and_hints_on_wall_time(self):
         orb = make_rt_orb("server")
         orb.install_scheduler("fifo", max_depth=2)

@@ -103,3 +103,24 @@ class TestValidateCommand:
         )
         assert main(["validate", str(bad)]) == 1
         assert "ghost" in capsys.readouterr().out
+
+    def test_malformed_spec_fails_without_a_traceback(self, tmp_path, capsys):
+        bad = tmp_path / "half_link.toml"
+        bad.write_text(
+            """
+            [topology]
+            hosts = ["a", "b"]
+
+            [[topology.links]]
+            a = "a"
+
+            [group]
+            hosts = ["b"]
+
+            [traffic]
+            sources = ["a"]
+            """
+        )
+        assert main(["validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL {bad}: topology.links[0]: missing 'b'" in out

@@ -98,6 +98,7 @@ LAYERS = {
     "baselines": ("orb", "codecs", "ciphers"),
     "scenario": (
         "workloads", "qos", "reliability", "sched", "orb", "netsim", "perf",
+        "codecs",
     ),
     "rt": (
         "qos", "reliability", "sched", "core", "orb", "netsim", "perf", "ciphers",
