@@ -20,7 +20,7 @@ always yields the same plan.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
 __all__ = [
     "LinkSpec", "TopologySpec", "ShardPlan", "ShardPlanner", "cluster_layout",
@@ -122,7 +122,7 @@ class TopologySpec:
         for link in self.links:
             self._adjacency[link.a][link.b] = link
             self._adjacency[link.b][link.a] = link
-        self._paths: Optional[Dict[str, Dict[str, Tuple[float, float]]]] = None
+        self._paths: Dict[str, Dict[str, Tuple[float, float]]] = {}
 
     @classmethod
     def from_network(cls, network: Any) -> "TopologySpec":
@@ -155,18 +155,19 @@ class TopologySpec:
                     heapq.heappush(frontier, (candidate, neighbour, narrow))
         return table
 
+    def path_row(self, src: str) -> Dict[str, Tuple[float, float]]:
+        """``src``'s cached row of the path table: ``dst -> path(src, dst)``."""
+        row = self._paths.get(src)
+        if row is None:
+            row = self._paths[src] = self._paths_from(src)
+        return row
+
     def path(self, src: str, dst: str) -> Tuple[float, float]:
         """``(latency, bottleneck_bandwidth_bps)`` of the best path.
 
         Raises :class:`KeyError` when no path exists.
         """
-        if self._paths is None:
-            self._paths = {}
-        table = self._paths.get(src)
-        if table is None:
-            table = self._paths_from(src)
-            self._paths[src] = table
-        return table[dst]
+        return self.path_row(src)[dst]
 
     def transfer_delay(self, src: str, dst: str, nbytes: int = 0) -> float:
         """Idle-network transfer time for ``nbytes`` from ``src`` to ``dst``."""

@@ -25,13 +25,19 @@ must manage:
   order is independent of the shard count, so a SHA-256 digest over
   them compares serial and sharded runs bit-for-bit.
 
+Handlers see a :class:`ShardContext` bound to their host.  A runtime
+makes one per host (the shard runtime, one per host per window) and
+hands it to every event of that host; nothing is re-pointed per event.
+
 :class:`SerialScenarioDriver` runs the same handler programs on any
 *serial* event kernel — in practice
 :class:`~repro.netsim.kernel.EventKernel`, which is how the
 ``kernel_soak`` workload of ``bench/`` measures that kernel.  It
-implements the same runtime protocol, so handlers cannot tell the
-difference.  (The sharded kernel's own serial fallback is a single
-:class:`ShardRuntime` owning every host.)
+implements the same runtime protocol (``post``, ``note``,
+``host_state``, ``host_rng``, ``topology``), so handlers cannot tell
+the difference, but it puts the resolved handler and its host's
+context straight on the kernel's heap.  (The sharded kernel's own
+serial fallback is a single :class:`ShardRuntime` owning every host.)
 """
 
 from __future__ import annotations
@@ -60,29 +66,35 @@ def _as_ref(handler: Handler) -> str:
 class ShardContext:
     """The API a handler sees: ``handler(ctx, payload)``.
 
-    One context object per shard, re-pointed at the firing host before
-    each event — handlers must not keep references across events.
+    A context is bound to one host for its whole life.  ``host``,
+    ``state`` (the host's scratch dict, kept between events) and the
+    host's random stream are plain slots; the host's row of the
+    topology's cached path table is fetched on the first :meth:`send`.
+    ``now`` reads ``clock.now`` — the runtime itself unless a kernel
+    clock is given.  A runtime passes the same context to every event
+    of a host (the sharded runtime, every event of a window), so a
+    handler may keep it: nothing in it is re-pointed between events.
     """
 
-    __slots__ = ("_runtime", "host")
+    __slots__ = ("_runtime", "_post", "_clock", "_rng", "_row", "host", "state")
 
-    def __init__(self, runtime: Any) -> None:
+    def __init__(self, runtime: Any, host: str, clock: Any = None) -> None:
         self._runtime = runtime
-        self.host = ""
+        self._post = runtime.post
+        self._clock = runtime if clock is None else clock
+        self._rng = runtime.host_rng(host)
+        self._row: Optional[Dict[str, Tuple[float, float]]] = None
+        self.host = host
+        self.state: Dict[str, Any] = runtime.host_state(host)
 
     @property
     def now(self) -> float:
         """Current simulated time on this shard."""
-        return self._runtime.now
+        return self._clock.now
 
     @property
     def topology(self) -> TopologySpec:
         return self._runtime.topology
-
-    @property
-    def state(self) -> Dict[str, Any]:
-        """Mutable per-host scratch state (survives between events)."""
-        return self._runtime.host_state(self.host)
 
     def rng(self, host: Optional[str] = None) -> random.Random:
         """Deterministic per-host random stream.
@@ -90,7 +102,7 @@ class ShardContext:
         Seeded from ``(run seed, host name)`` only, so the stream does
         not depend on how hosts were sharded.
         """
-        return self._runtime.host_rng(host if host is not None else self.host)
+        return self._rng if host is None else self._runtime.host_rng(host)
 
     def schedule(
         self, delay: float, host: str, handler: Handler, payload: Any = None
@@ -98,8 +110,7 @@ class ShardContext:
         """Run ``handler`` on ``host`` after ``delay`` seconds."""
         if not delay >= 0.0:
             raise KernelError(f"cannot schedule in the past (delay={delay})")
-        runtime = self._runtime
-        runtime.post(runtime.now + delay, host, _as_ref(handler), payload)
+        self._post(self._clock.now + delay, host, handler, payload)
 
     def send(
         self,
@@ -110,15 +121,18 @@ class ShardContext:
     ) -> float:
         """Deliver ``payload`` to ``dst`` after the modelled transfer time.
 
-        The delay is the topology's idle-network transfer time (path
-        latency plus serialisation at the bottleneck link), which is
-        what makes cross-shard sends safe: any path that crosses the
-        shard cut is at least one cut-link latency — the lookahead —
-        long.  Returns the delay.
+        The delay is :meth:`TopologySpec.transfer_delay` (path latency
+        plus serialisation at the bottleneck link), priced here from the
+        host's path row.  That is what makes cross-shard sends safe: any
+        path that crosses the shard cut is at least one cut-link latency
+        — the lookahead — long.  Returns the delay.
         """
-        runtime = self._runtime
-        delay = runtime.topology.transfer_delay(self.host, dst, nbytes)
-        runtime.post(runtime.now + delay, dst, _as_ref(handler), payload)
+        row = self._row
+        if row is None:
+            row = self._row = self._runtime.topology.path_row(self.host)
+        latency, bandwidth = row[dst]
+        delay = latency + (nbytes * 8.0) / bandwidth if nbytes > 0 else latency
+        self._post(self._clock.now + delay, dst, handler, payload)
         return delay
 
     def record(self, *fields: Any) -> None:
@@ -177,8 +191,9 @@ class ShardRuntime(_HostStateMixin):
 
     # -- event flow ----------------------------------------------------
 
-    def post(self, time: float, host: str, ref: str, payload: Any) -> None:
+    def post(self, time: float, host: str, handler: Handler, payload: Any) -> None:
         """Route an event to the local heap or the cross-shard outbox."""
+        ref = _as_ref(handler)
         if host in self.hosts:
             self._seq += 1
             heappush(self._heap, (time, self._seq, host, ref, payload))
@@ -217,26 +232,24 @@ class ShardRuntime(_HostStateMixin):
     def run_window(self, window_end: float) -> int:
         """Fire every event strictly before ``window_end``."""
         heap = self._heap
-        # A context per window, not per runtime: a runtime that held its
-        # context would sit in a reference cycle, keeping its trace alive
-        # after the run until the cycle collector happened to run.
-        ctx = ShardContext(self)
+        # Contexts per window, not per runtime: a runtime that held its
+        # contexts would sit in a reference cycle, keeping its trace
+        # alive after the run until the cycle collector happened to run.
+        contexts: Dict[str, ShardContext] = {}
         trace = self.trace if self.trace_enabled else None
         resolve = resolve_handler
         fired = 0
         while heap:
-            head = heap[0]
-            time = head[0]
-            if time >= window_end:
+            if heap[0][0] >= window_end:
                 break
-            heappop(heap)
+            time, _seq, host, ref, payload = heappop(heap)
             self.now = time
-            host = head[2]
-            ref = head[3]
             if trace is not None:
-                trace.append((time, host, ref, repr(head[4])))
-            ctx.host = host
-            resolve(ref)(ctx, head[4])
+                trace.append((time, host, ref, repr(payload)))
+            ctx = contexts.get(host)
+            if ctx is None:
+                ctx = contexts[host] = ShardContext(self, host)
+            resolve(ref)(ctx, payload)
             fired += 1
         self.events_fired += fired
         return fired
@@ -270,8 +283,12 @@ class SerialScenarioDriver(_HostStateMixin):
 
     ``kernel`` needs only ``schedule_at(time, fn, *args)``, ``run()``
     and a ``clock`` with ``now`` — which
-    :class:`~repro.netsim.kernel.EventKernel` provides.  Its unsorted
-    trace is the one the sharded kernel's serial fallback writes.
+    :class:`~repro.netsim.kernel.EventKernel` provides.  Each host's
+    context is made once, and every event is scheduled as
+    ``schedule_at(time, handler, ctx, payload)``, so the kernel calls
+    the handler itself.  A traced run puts a wrapper in between that
+    writes the unsorted trace the sharded kernel's serial fallback
+    writes.
     """
 
     def __init__(
@@ -288,14 +305,31 @@ class SerialScenarioDriver(_HostStateMixin):
         self.trace: List[Tuple[float, str, str, str]] = []
         self._state: Dict[str, Dict[str, Any]] = {}
         self._rngs: Dict[str, random.Random] = {}
-        self._ctx = ShardContext(self)
+        self._contexts: Dict[str, ShardContext] = {}
+        #: Handler or ref -> the callable; a callable enters only once
+        #: :func:`handler_ref` has validated it.
+        self._handlers: Dict[Handler, Callable[..., Any]] = {}
 
-    @property
-    def now(self) -> float:
-        return self.kernel.clock.now
-
-    def post(self, time: float, host: str, ref: str, payload: Any) -> None:
-        self.kernel.schedule_at(time, self._fire, host, ref, payload)
+    def post(self, time: float, host: str, handler: Handler, payload: Any) -> None:
+        fn = self._handlers.get(handler)
+        if fn is None:
+            if isinstance(handler, str):
+                fn = resolve_handler(handler)
+            else:
+                handler_ref(handler)
+                fn = handler
+            self._handlers[handler] = fn
+        ctx = self._contexts.get(host)
+        if ctx is None:
+            ctx = self._contexts[host] = ShardContext(
+                self, host, self.kernel.clock
+            )
+        if self.trace_enabled:
+            self.kernel.schedule_at(
+                time, self._traced, _as_ref(handler), fn, ctx, payload
+            )
+        else:
+            self.kernel.schedule_at(time, fn, ctx, payload)
 
     def note(self, host: str, fields: Tuple[Any, ...]) -> None:
         if self.trace_enabled:
@@ -303,19 +337,21 @@ class SerialScenarioDriver(_HostStateMixin):
                 (self.kernel.clock.now, host, "record", repr(fields))
             )
 
-    def _fire(self, host: str, ref: str, payload: Any) -> None:
-        if self.trace_enabled:
-            self.trace.append(
-                (self.kernel.clock.now, host, ref, repr(payload))
-            )
-        ctx = self._ctx
-        ctx.host = host
-        resolve_handler(ref)(ctx, payload)
+    def _traced(self, ref: str, fn: Callable[..., Any], ctx: ShardContext,
+                payload: Any) -> None:
+        self.trace.append((self.kernel.clock.now, ctx.host, ref, repr(payload)))
+        fn(ctx, payload)
 
     def schedule_at(
         self, time: float, host: str, handler: Handler, payload: Any = None
     ) -> None:
-        self.post(time, host, _as_ref(handler), payload)
+        self.post(time, host, handler, payload)
 
     def run(self) -> int:
-        return self.kernel.run()
+        try:
+            return self.kernel.run()
+        finally:
+            # The contexts point back at the driver; drop them so a
+            # finished driver is freed by reference counting.  A later
+            # event binds a new context to the same state and stream.
+            self._contexts.clear()

@@ -531,7 +531,10 @@ def decode_locate_request(data: bytes) -> Tuple[int, str]:
     decoder = CDRDecoder(data)
     if _read_header(decoder) != MSG_LOCATE_REQUEST:
         raise MARSHAL("expected a GIOP LocateRequest message")
-    return decoder.read_ulong(), decoder.read_string()
+    request_id, object_key = decoder.read_ulong(), decoder.read_string()
+    if decoder._offset != decoder._len:
+        raise _trailing(decoder)
+    return request_id, object_key
 
 
 def encode_locate_reply(request_id: int, status: int) -> bytes:
@@ -546,7 +549,10 @@ def decode_locate_reply(data: bytes) -> Tuple[int, int]:
     decoder = CDRDecoder(data)
     if _read_header(decoder) != MSG_LOCATE_REPLY:
         raise MARSHAL("expected a GIOP LocateReply message")
-    return decoder.read_ulong(), decoder.read_octet()
+    request_id, status = decoder.read_ulong(), decoder.read_octet()
+    if decoder._offset != decoder._len:
+        raise _trailing(decoder)
+    return request_id, status
 
 
 def message_type(data: bytes) -> int:

@@ -19,6 +19,7 @@ naming the offending field.
 from __future__ import annotations
 
 import fnmatch
+import inspect
 import os
 from dataclasses import InitVar, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -28,10 +29,11 @@ from repro.netsim.parallel.plan import LinkSpec as TopologyLink
 from repro.netsim.parallel.plan import cluster_layout
 from repro.scenario.chaos import Campaign, ChaosError
 from repro.scenario.schema import (
-    boolean, choice, count, declare, declared, host_list, integer, interval,
-    mapping, mbps, natural, non_negative, positive, read, real, rows, string,
-    table_of, tables,
+    Invalid, boolean, choice, count, declare, declared, host_list, integer,
+    interval, mapping, mbps, natural, non_negative, positive, read, real, rows,
+    string, table_of, tables,
 )
+from repro.sched.scheduler import QoSClass
 
 __all__ = [
     "CohortSpec",
@@ -144,11 +146,29 @@ class GroupSpec:
     service_time: float = declare(positive, 0.004)
 
 
+#: What a ``[sched.classes.<name>]`` table may set: ``QoSClass``'s parameters.
+QOS_CLASS_KEYS = frozenset(inspect.signature(QoSClass).parameters) - {"name"}
+
+
+def qos_class_params(where: str, value: Any) -> Dict[str, Any]:
+    """A class table, passed as ``QoSClass(name, **params)`` at build time."""
+    params = mapping()(where, value)
+    for key in params:
+        if key not in QOS_CLASS_KEYS:
+            raise Invalid(
+                f"{where}.{key} is not a QoSClass parameter; "
+                f"allowed: {sorted(QOS_CLASS_KEYS)}"
+            )
+    return params
+
+
 @declared
 class SchedSpec:
     policy: str = declare(choice(*SCHED_POLICIES), "fifo")
     max_depth: int = declare(count, 10_000)
-    classes: Dict[str, Dict[str, Any]] = declare(mapping(mapping()), factory=dict)
+    classes: Dict[str, Dict[str, Any]] = declare(
+        mapping(qos_class_params), factory=dict
+    )
 
 
 @declared

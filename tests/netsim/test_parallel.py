@@ -266,7 +266,7 @@ def _shard_context(topo, host):
     runtime = ShardRuntime(0, set(topo.hosts), topo, float("inf"), trace=True)
 
     def post(time):
-        ShardContext(runtime).schedule(time, host, soak.ack)  # now == 0
+        ShardContext(runtime, host).schedule(time, host, soak.ack)  # now == 0
 
     def drain():
         runtime.run_window(float("inf"))
@@ -326,3 +326,113 @@ class TestShardStatsPanel:
         assert panel["kernel_shard_barriers"] > 0
         assert panel["kernel_shard_cross_messages"] > 0
         assert len(panel["kernel_shard_events_per_shard"]) == 4
+
+
+# -- the host-bound context, on both runtimes ----------------------------
+
+
+def send_a_lambda(ctx, payload):
+    ctx.send(ctx.host, lambda ctx, payload: None)
+
+
+def schedule_a_lambda(ctx, payload):
+    ctx.schedule(0.0, ctx.host, lambda ctx, payload: None)
+
+
+def relay_by_ref(ctx, dst):
+    ctx.send(dst, "repro.workloads.soak:ack")
+
+
+def keep_runtime_ref(ctx, refs):
+    refs.append(weakref.ref(ctx._runtime))
+
+
+def _serial_driver(topo, trace=False):
+    return SerialScenarioDriver(EventKernel(), topo, seed=3, trace=trace)
+
+
+def _one_shard(topo, trace=False):
+    return ShardedKernel(topo, shards=1, seed=3, trace=trace)
+
+
+def _trace_of(runtime):
+    if isinstance(runtime, SerialScenarioDriver):
+        return sorted(runtime.trace)
+    return runtime.trace_entries()
+
+
+@pytest.mark.parametrize("make", [_serial_driver, _one_shard])
+class TestBoundContext:
+    def test_lambda_is_rejected_when_scheduled(self, make):
+        runtime = make(small_topology())
+        with pytest.raises(TypeError):
+            runtime.schedule_at(0.0, "c00h00", lambda ctx, payload: None)
+
+    @pytest.mark.parametrize("handler", [send_a_lambda, schedule_a_lambda])
+    def test_lambda_is_rejected_from_a_handler(self, make, handler):
+        runtime = make(small_topology())
+        runtime.schedule_at(0.0, "c00h00", handler)
+        with pytest.raises(TypeError):
+            runtime.run()
+
+    def test_ref_string_handlers_fire(self, make):
+        topo = small_topology()
+        runtime = make(topo, trace=True)
+        runtime.schedule_at(
+            0.5, "c00h00", "tests.netsim.test_parallel:relay_by_ref", "c00h01"
+        )
+        assert runtime.run() == 2
+        arrival = 0.5 + topo.transfer_delay("c00h00", "c00h01")
+        assert [entry[:3] for entry in _trace_of(runtime)] == [
+            (0.5, "c00h00", "tests.netsim.test_parallel:relay_by_ref"),
+            (arrival, "c00h01", "repro.workloads.soak:ack"),
+        ]
+
+    def test_finished_runtime_needs_no_cycle_collector(self, make):
+        refs = []
+        runtime = make(small_topology())
+        runtime.schedule_at(0.0, "c00h00", keep_runtime_ref, refs)
+        gc.disable()
+        try:
+            runtime.run()
+            del runtime
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
+class TestSerialDriver:
+    def test_host_state_matches_the_one_shard_runtime(self):
+        topo = small_topology()
+        cfg = soak_config(topo, duration=0.2)
+        driver = SerialScenarioDriver(EventKernel(), topo, seed=3)
+        schedule_soak(driver, cfg)
+        driver.run()
+        runtime = ShardRuntime(0, set(topo.hosts), topo, float("inf"), seed=3)
+        for host in topo.hosts:
+            runtime.post(0.0, host, soak.boot, cfg)
+        runtime.run_window(float("inf"))
+        assert sum(driver.host_state(h)["acks"] for h in topo.hosts) > 0
+        for host in topo.hosts:
+            assert driver.host_state(host) == runtime.host_state(host)
+
+    def test_tracing_changes_neither_event_count_nor_heap_peak(self):
+        topo = small_topology()
+        cfg = soak_config(topo, duration=0.2, heartbeats=5)
+        seen = []
+        for trace in (False, True):
+            driver = SerialScenarioDriver(EventKernel(), topo, trace=trace)
+            schedule_soak(driver, cfg)
+            driver.run()
+            seen.append((driver.kernel.events_fired, driver.kernel.live_peak))
+        assert seen[0] == seen[1]
+
+    def test_send_prices_like_transfer_delay(self):
+        topo = small_topology()
+        runtime = ShardRuntime(0, set(topo.hosts), topo, float("inf"))
+        ctx = ShardContext(runtime, "c00h00")
+        for dst in topo.hosts:
+            for nbytes in (0, 1500):
+                assert ctx.send(dst, soak.ack, None, nbytes) == (
+                    topo.transfer_delay("c00h00", dst, nbytes)
+                )

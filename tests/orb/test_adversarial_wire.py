@@ -180,3 +180,15 @@ class TestTrailingBytes:
                 giop.decode_reply(wire + self.JUNK)
             assert giop.decode_reply(wire).request_id == 9
         assert giop._reply_decode_cache.hits  # the replay path ran
+
+    def test_locate_request(self):
+        wire = giop.encode_locate_request(3, "obj")
+        with pytest.raises(MARSHAL, match="trailing"):
+            giop.decode_locate_request(wire + self.JUNK)
+        assert giop.decode_locate_request(wire) == (3, "obj")
+
+    def test_locate_reply(self):
+        wire = giop.encode_locate_reply(3, 1)
+        with pytest.raises(MARSHAL, match="trailing"):
+            giop.decode_locate_reply(wire + self.JUNK)
+        assert giop.decode_locate_reply(wire) == (3, 1)

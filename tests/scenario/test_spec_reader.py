@@ -64,6 +64,8 @@ MALFORMED = [
      r"topology\.cohorts\[0\]: missing 'name'"),
     (("traffic", "classes"), 3, r"traffic\.classes must be a table"),
     (("sched", "classes"), {"gold": 5}, r"sched\.classes\.gold must be a table"),
+    (("sched", "classes"), {"std": {"weght": 2.0}},
+     r"sched\.classes\.std\.weght is not a QoSClass parameter"),
     # misleading: a string iterated as host names
     (("traffic", "sources"), "client", r"traffic\.sources must be a list of host"),
 ]
